@@ -1028,18 +1028,13 @@ std::string ExplainHeader(const opt::OptimizeInfo& info) {
 std::string RenderPlanText(const exec::PhysPtr& plan,
                            const QueryOptions& options,
                            const exec::PlanAnnotations* annotations) {
-  // Mirrors QueryInternal's spill arming: a spill-armed hash join runs as
-  // a row-mode grace join, so it must not be marked [batch]/[parallel].
-  const bool spill_armed =
-      options.spill.enabled && (options.spill.operator_budget_bytes > 0 ||
-                                options.governor.max_memory_bytes > 0);
   if (options.execution_mode == exec::ExecMode::kParallel) {
     // Mark the morsel-parallel region roots plus the vectorized operators
     // the serial remainder of the plan will use.
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
-        exec::BatchModeNodes(plan, spill_armed);
+        exec::BatchModeNodes(plan);
     std::unordered_set<const exec::PhysicalPlan*> parallel_roots =
-        exec::ParallelRegionRoots(plan, spill_armed);
+        exec::ParallelRegionRoots(plan);
     return "execution mode: parallel (dop " + std::to_string(options.dop) +
            "; region roots marked [parallel], vectorized operators " +
            "[batch])\n" +
@@ -1049,7 +1044,7 @@ std::string RenderPlanText(const exec::PhysPtr& plan,
     // Mark the operators the builder will run vectorized; the rest fall
     // back to row mode (Apply subtrees, index nested-loops, under Limit).
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
-        exec::BatchModeNodes(plan, spill_armed);
+        exec::BatchModeNodes(plan);
     return "execution mode: batch (capacity " +
            std::to_string(options.batch_capacity) +
            "; vectorized operators marked [batch])\n" +

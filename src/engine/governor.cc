@@ -62,13 +62,13 @@ Status ResourceGovernor::ChargeMaterialized(uint64_t rows, uint64_t bytes) {
   bool over_rows = max_rows_ > 0 && total_rows > max_rows_;
   bool over_bytes = max_bytes_ > 0 && total_bytes > max_bytes_;
   if (!over_rows && !over_bytes) {
-    // A sibling worker may have tripped already; keep failing so every
-    // thread of the query unwinds, not just the one that crossed the line.
-    if (tripped_.load(std::memory_order_relaxed)) {
-      if (pool_tripped_.load(std::memory_order_relaxed)) {
-        return Status::Unavailable("shared resource budget saturated");
-      }
-      return Status::ResourceExhausted("resource budget exceeded");
+    // A pool trip is sticky: keep failing so every worker of the query
+    // unwinds, not just the one the pool refused. A budget trip needs no
+    // check here: totals only grow, so every charge counted after the one
+    // that crossed the budget is over it too, while a charge counted before
+    // it is within budget even if its thread sees the trip flag first.
+    if (pool_tripped_.load(std::memory_order_relaxed)) {
+      return Status::Unavailable("shared resource budget saturated");
     }
     if (pool_ != nullptr) {
       Status pooled = pool_->TryReserve(rows, bytes);

@@ -458,6 +458,14 @@ class BatchProjectExec : public BatchExecutor {
 /// probe-only variant the build side (a shared JoinBuildState) was
 /// materialized elsewhere — the parallel gather's build phase — and this
 /// executor only probes it.
+///
+/// The self-building variant decides to spill while it runs: the build
+/// stays in memory until, with spill armed, its modeled bytes cross the
+/// spill budget. It then turns into a grace hash join — the columns built
+/// so far, the rest of the build input and then the whole probe input are
+/// hash-partitioned into GracePartitions files, as in the row join, and
+/// each partition pair is joined through its own JoinBuildState. Spilled
+/// output is partition-major: a multiset match of the in-memory join.
 class BatchHashJoinExec : public BatchExecutor {
  public:
   BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
@@ -492,7 +500,7 @@ class BatchHashJoinExec : public BatchExecutor {
     // reservation on high-fanout joins.
     while (!out->full()) {
       if (probe_pos_ >= probe_.ActiveSize()) {
-        if (!left_->NextBatch(&probe_)) {
+        if (!NextProbeBatch()) {
           done_ = true;
           break;
         }
@@ -530,36 +538,172 @@ class BatchHashJoinExec : public BatchExecutor {
     }
     if (right_ == nullptr) return;  // probe-only: shared state is ready
     right_->Init();
-    state_ = std::make_shared<JoinBuildState>();  // fresh on rescan
-    state_->build_cols.assign(right_width_, {});
+    parts_.Clear();
+    next_part_ = 0;
+    mem_charged_ = 0;
     auto rit = right_->colmap().find(plan_->right_key);
     QOPT_DCHECK(rit != right_->colmap().end());
-    size_t rk = static_cast<size_t>(rit->second);
-    state_->rk = rk;
+    rk_ = static_cast<size_t>(rit->second);
+    state_ = NewBuildState();  // fresh on rescan
     size_t hint = ReserveHint(plan_->children[1]->est_rows);
     for (std::vector<Value>& col : state_->build_cols) col.reserve(hint);
     // The build side stays columnar: values move straight out of the child
     // batches (each batch is reset on the next NextBatch call), avoiding a
-    // per-row Row materialization of the entire build input.
+    // per-row Row materialization of the entire build input. Same modeled
+    // footprint per row as the row-mode build charge; spill-armed, memory
+    // is bounded by the budget, so the governor sees row bookkeeping only.
+    const SpillConfig& sp = ctx_->spill;
+    const uint64_t row_bytes = 16 + 24 * right_width_;
+    uint64_t buffered = 0;
     RowBatch build;
     while (!ctx_->Failed() && right_->NextBatch(&build)) {
       for (size_t k = 0; k < build.ActiveSize(); ++k) {
         uint32_t r = build.ActiveIndex(k);
-        if (build.At(rk, r).is_null()) continue;  // NULL keys never match
-        // Same modeled footprint as the row-mode build charge.
-        if (!ctx_->GovernorCharge(1, 16 + 24 * right_width_)) break;
-        ChargeMem(16 + 24 * right_width_);
+        if (build.At(rk_, r).is_null()) continue;  // NULL keys never match
+        if (!ctx_->GovernorCharge(1, sp.armed ? 0 : row_bytes)) break;
+        if (parts_.spilled()) {
+          for (size_t c = 0; c < right_width_; ++c) {
+            spill_row_[c] = std::move(build.column(c)[r]);
+          }
+          if (!ctx_->Check(
+                  GracePartitions::Append(parts_.build, spill_row_, rk_))) {
+            break;
+          }
+          continue;
+        }
         for (size_t c = 0; c < right_width_; ++c) {
           state_->build_cols[c].push_back(std::move(build.column(c)[r]));
         }
+        buffered += row_bytes;
+        if (sp.armed && buffered > sp.budget_bytes &&
+            state_->num_build_rows() > 1 && !BeginSpill()) {
+          break;
+        }
       }
     }
-    state_->Finalize(
-        left_->plan().output_cols[static_cast<size_t>(lk_)].type,
-        right_->plan().output_cols[rk].type);
+    if (ctx_->Failed()) return;
+    if (!parts_.spilled()) {
+      ChargeMem(buffered);
+      state_->Finalize(LeftKeyType(), RightKeyType());
+      return;
+    }
+    // Seal the build partitions, then partition the ENTIRE probe side.
+    state_.reset();
+    if (!SealSpillFiles(parts_.build)) return;
+    spill_row_.resize(left_width_);
+    RowBatch probe;
+    while (!ctx_->Failed() && left_->NextBatch(&probe)) {
+      for (size_t k = 0; k < probe.ActiveSize(); ++k) {
+        uint32_t r = probe.ActiveIndex(k);
+        for (size_t c = 0; c < left_width_; ++c) {
+          spill_row_[c] = std::move(probe.column(c)[r]);
+        }
+        if (!ctx_->Check(GracePartitions::Append(
+                parts_.probe, spill_row_, static_cast<size_t>(lk_)))) {
+          return;
+        }
+      }
+    }
+    if (ctx_->Failed()) return;
+    SealSpillFiles(parts_.probe);
   }
 
  private:
+  TypeId LeftKeyType() const {
+    return plan_->children[0]->output_cols[static_cast<size_t>(lk_)].type;
+  }
+  TypeId RightKeyType() const {
+    return plan_->children[1]->output_cols[rk_].type;
+  }
+
+  std::shared_ptr<JoinBuildState> NewBuildState() const {
+    auto state = std::make_shared<JoinBuildState>();
+    state->build_cols.assign(right_width_, {});
+    state->rk = rk_;
+    return state;
+  }
+
+  /// Fills `probe_` with the next probe batch: from the probe child in
+  /// memory; once spilled, from the current probe partition file, loading
+  /// the next partition pair whenever one is exhausted. A spilled probe
+  /// batch never spans partitions, since it is probed against the one
+  /// loaded partition. False at the end.
+  bool NextProbeBatch() {
+    if (!parts_.spilled()) return left_->NextBatch(&probe_);
+    probe_.Reset(left_width_, ctx_->batch_capacity);
+    Row row;
+    while (!probe_.full()) {
+      if (state_ == nullptr) {
+        if (next_part_ >= parts_.build.size() || !LoadPartition(next_part_)) {
+          return false;
+        }
+        ++next_part_;
+      }
+      auto more = parts_.probe[next_part_ - 1]->ReadNext(&row);
+      if (!more.ok()) {
+        ctx_->Fail(more.status());
+        return false;
+      }
+      if (!more.value()) {
+        if (probe_.num_rows() > 0) break;  // probe these first
+        state_.reset();  // partition pair done
+        continue;
+      }
+      probe_.AppendRow(std::move(row));
+    }
+    return ctx_->GovernorTick(probe_.num_rows());
+  }
+
+  /// Opens the partition files and moves the columns built so far into the
+  /// build partitions; `spill_row_` then serves as the build-row scratch.
+  bool BeginSpill() {
+    if (!ctx_->Check(parts_.Open(ctx_->spill.partitions, ctx_->spill.dir))) {
+      return false;
+    }
+    spill_row_.resize(right_width_);
+    for (size_t i = 0; i < state_->num_build_rows(); ++i) {
+      for (size_t c = 0; c < right_width_; ++c) {
+        spill_row_[c] = std::move(state_->build_cols[c][i]);
+      }
+      if (!ctx_->Check(
+              GracePartitions::Append(parts_.build, spill_row_, rk_))) {
+        return false;
+      }
+    }
+    state_ = NewBuildState();
+    return true;
+  }
+
+  /// Reads build partition `p` into a fresh JoinBuildState and rewinds its
+  /// probe file.
+  bool LoadPartition(size_t p) {
+    if (!ctx_->Check(parts_.build[p]->Rewind()) ||
+        !ctx_->Check(parts_.probe[p]->Rewind())) {
+      return false;
+    }
+    state_ = NewBuildState();
+    Row row;
+    for (;;) {
+      auto more = parts_.build[p]->ReadNext(&row);
+      if (!more.ok()) {
+        ctx_->Fail(more.status());
+        return false;
+      }
+      if (!more.value()) break;
+      for (size_t c = 0; c < right_width_; ++c) {
+        state_->build_cols[c].push_back(std::move(row[c]));
+      }
+    }
+    // One partition is resident at a time: the peak is the largest one.
+    uint64_t bytes = state_->num_build_rows() * (16 + 24 * right_width_);
+    if (bytes > mem_charged_) {
+      ChargeMem(bytes - mem_charged_);
+      mem_charged_ = bytes;
+    }
+    state_->Finalize(LeftKeyType(), RightKeyType());
+    return true;
+  }
+
   /// Widths and the combined output column map, derived from the plan's
   /// children so the probe-only variant (no right executor) agrees exactly
   /// with the self-building one.
@@ -697,7 +841,14 @@ class BatchHashJoinExec : public BatchExecutor {
 
   std::unique_ptr<Executor> left_;
   std::unique_ptr<Executor> right_;  ///< Null in the probe-only variant.
+  /// The build side being probed: the whole build in memory, or once
+  /// spilled the loaded partition (null between partitions).
   std::shared_ptr<JoinBuildState> state_;
+  size_t rk_ = 0;  ///< Build key position in the right child's layout.
+  GracePartitions parts_;  ///< Empty until the build crosses the budget.
+  size_t next_part_ = 0;   ///< Next partition pair to load.
+  Row spill_row_;         ///< Row scratch for partition-file appends.
+  uint64_t mem_charged_ = 0;  ///< Largest partition charged via ChargeMem.
   size_t left_width_ = 0;
   size_t right_width_ = 0;
   ColMap combined_map_;

@@ -37,19 +37,19 @@ bool BatchSupported(PhysOpKind kind) {
 /// barrier. Aggregates deeper inside a region are not parallelized (their
 /// subtree simply isn't eligible), so a region root is always the highest
 /// such node on its path.
-bool IsParallelRegionRoot(const PhysicalPlan& plan, bool spill_armed) {
-  if (internal::ParallelEligible(plan, spill_armed)) return true;
+bool IsParallelRegionRoot(const PhysicalPlan& plan) {
+  if (internal::ParallelEligible(plan)) return true;
   return plan.kind == PhysOpKind::kHashAggregate &&
-         internal::ParallelEligible(*plan.children[0], spill_armed);
+         internal::ParallelEligible(*plan.children[0]);
 }
 
 /// Collects maximal parallel-eligible subtree roots top-down, under the
 /// same row-mode fallback rules as CollectBatchNodes (no parallel region
 /// beneath Apply, index nested-loops, or Limit). Does not descend into a
 /// region: everything below the root belongs to the gather.
-void CollectParallelRoots(const PhysPtr& plan, bool allow, bool spill_armed,
+void CollectParallelRoots(const PhysPtr& plan, bool allow,
                           std::unordered_set<const PhysicalPlan*>* out) {
-  if (allow && IsParallelRegionRoot(*plan, spill_armed)) {
+  if (allow && IsParallelRegionRoot(*plan)) {
     out->insert(plan.get());
     return;
   }
@@ -64,7 +64,7 @@ void CollectParallelRoots(const PhysPtr& plan, bool allow, bool spill_armed,
       break;
   }
   for (const PhysPtr& c : plan->children) {
-    CollectParallelRoots(c, child_allow, spill_armed, out);
+    CollectParallelRoots(c, child_allow, out);
   }
 }
 
@@ -80,14 +80,9 @@ void CollectParallelRoots(const PhysPtr& plan, bool allow, bool spill_armed,
 //   - IndexNestedLoopJoin: the right child is consumed as an index, and
 //     per-outer-row probe touches interleave with the outer stream.
 //   - Limit: early termination must not over-read the input.
-void CollectBatchNodes(const PhysPtr& plan, bool allow, bool spill_armed,
+void CollectBatchNodes(const PhysPtr& plan, bool allow,
                        std::unordered_set<const PhysicalPlan*>* out) {
-  // A spill-armed hash join runs row-mode (grace join) so it can partition
-  // its build and probe streams to disk.
-  if (allow && BatchSupported(plan->kind) &&
-      !(spill_armed && plan->kind == PhysOpKind::kHashJoin)) {
-    out->insert(plan.get());
-  }
+  if (allow && BatchSupported(plan->kind)) out->insert(plan.get());
   bool child_allow = allow;
   switch (plan->kind) {
     case PhysOpKind::kApply:
@@ -99,7 +94,7 @@ void CollectBatchNodes(const PhysPtr& plan, bool allow, bool spill_armed,
       break;
   }
   for (const PhysPtr& c : plan->children) {
-    CollectBatchNodes(c, child_allow, spill_armed, out);
+    CollectBatchNodes(c, child_allow, out);
   }
 }
 
@@ -177,17 +172,16 @@ std::unique_ptr<Executor> Build(
 
 }  // namespace
 
-std::unordered_set<const PhysicalPlan*> BatchModeNodes(const PhysPtr& plan,
-                                                       bool spill_armed) {
+std::unordered_set<const PhysicalPlan*> BatchModeNodes(const PhysPtr& plan) {
   std::unordered_set<const PhysicalPlan*> nodes;
-  CollectBatchNodes(plan, true, spill_armed, &nodes);
+  CollectBatchNodes(plan, true, &nodes);
   return nodes;
 }
 
 std::unordered_set<const PhysicalPlan*> ParallelRegionRoots(
-    const PhysPtr& plan, bool spill_armed) {
+    const PhysPtr& plan) {
   std::unordered_set<const PhysicalPlan*> roots;
-  CollectParallelRoots(plan, true, spill_armed, &roots);
+  CollectParallelRoots(plan, true, &roots);
   return roots;
 }
 
@@ -195,12 +189,9 @@ std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan,
                                         ExecContext* ctx) {
   std::unordered_set<const PhysicalPlan*> batch_nodes;
   std::unordered_set<const PhysicalPlan*> parallel_roots;
-  bool spill_armed = ctx->spill.armed;
-  if (ctx->mode != ExecMode::kRow) {
-    batch_nodes = BatchModeNodes(plan, spill_armed);
-  }
+  if (ctx->mode != ExecMode::kRow) batch_nodes = BatchModeNodes(plan);
   if (ctx->mode == ExecMode::kParallel) {
-    parallel_roots = ParallelRegionRoots(plan, spill_armed);
+    parallel_roots = ParallelRegionRoots(plan);
   }
   return Build(plan, ctx, batch_nodes, parallel_roots);
 }
@@ -209,7 +200,7 @@ namespace internal {
 
 std::unique_ptr<Executor> BuildBatchTree(const PhysPtr& plan,
                                          ExecContext* ctx) {
-  return Build(plan, ctx, BatchModeNodes(plan, ctx->spill.armed), {});
+  return Build(plan, ctx, BatchModeNodes(plan), {});
 }
 
 }  // namespace internal

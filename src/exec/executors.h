@@ -199,9 +199,10 @@ struct ExecContext {
   MetricsRegistry::Counter* expr_fallback_metric = nullptr;
   MetricsRegistry::Histogram* expr_compile_ns = nullptr;
   /// Resolved spill policy (see SpillConfig). When `spill.armed`, the
-  /// spill-capable materializing operators (Sort, hash join) degrade to
-  /// their external variants at `spill.budget_bytes` instead of failing
-  /// with kResourceExhausted on the governor's byte budget.
+  /// spill-capable materializing operators (Sort, hash join) run in memory
+  /// until their working set crosses `spill.budget_bytes`, then degrade to
+  /// their external variants instead of failing with kResourceExhausted on
+  /// the governor's byte budget.
   SpillConfig spill;
   MetricsRegistry::Counter* spill_runs_metric = nullptr;
   MetricsRegistry::Counter* spill_bytes_metric = nullptr;
@@ -216,6 +217,13 @@ struct ExecContext {
   /// Records `s` as the query error if none is set yet (first error wins).
   void Fail(Status s) {
     if (status.ok()) status = std::move(s);
+  }
+
+  /// Records `s` if it is an error; true iff it is OK.
+  bool Check(Status s) {
+    if (s.ok()) return true;
+    Fail(std::move(s));
+    return false;
   }
 
   /// True once any executor has failed; drains the rest of the tree fast.
@@ -364,6 +372,16 @@ class Executor {
     }
   }
 
+  /// Flushes spill files this operator wrote and records the non-empty ones
+  /// as spill runs; false (with the error recorded) on an I/O failure.
+  bool SealSpillFiles(const std::vector<std::unique_ptr<SpillFile>>& files) {
+    for (const std::unique_ptr<SpillFile>& f : files) {
+      if (!ctx_->Check(f->FinishWrite())) return false;
+      if (f->rows() > 0) RecordSpill(1, f->bytes_written());
+    }
+    return true;
+  }
+
   /// Accounts `bytes` of modeled materialized state (hash build, sort
   /// buffer, agg table) toward this operator's peak-memory stat. Call next
   /// to the matching GovernorCharge; no-op unless EXPLAIN ANALYZE is on.
@@ -399,17 +417,17 @@ std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan, ExecContext* ctx);
 Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx);
 
 /// The set of plan nodes that run vectorized under ExecMode::kBatch
-/// (mirrors the builder's mode-selection rules; used by EXPLAIN). When
-/// `spill_armed`, hash joins leave the batch set: they run as row-mode
-/// grace joins so they can partition to disk under memory pressure.
-std::unordered_set<const PhysicalPlan*> BatchModeNodes(
-    const PhysPtr& plan, bool spill_armed = false);
+/// (mirrors the builder's mode-selection rules; used by EXPLAIN). Spill
+/// never changes the set: a vectorized hash join decides at run time, when
+/// its build crosses the spill budget, to go grace (DESIGN.md §3.13).
+std::unordered_set<const PhysicalPlan*> BatchModeNodes(const PhysPtr& plan);
 
 /// The roots of the maximal subtrees that run morsel-parallel under
 /// ExecMode::kParallel (mirrors the builder's region-selection rules; used
-/// by EXPLAIN). `spill_armed` as in BatchModeNodes.
+/// by EXPLAIN). Spill-independent, as BatchModeNodes: a region whose build
+/// phase crosses the spill budget reruns on the serial batch tree.
 std::unordered_set<const PhysicalPlan*> ParallelRegionRoots(
-    const PhysPtr& plan, bool spill_armed = false);
+    const PhysPtr& plan);
 
 }  // namespace qopt::exec
 

@@ -93,17 +93,19 @@ std::unique_ptr<Executor> NewParallelGatherExec(const PhysPtr& plan,
 
 /// Serial batch-mode executor tree over `plan` (the builder's kBatch rules
 /// with no parallel regions); used by the gather for build sides that are
-/// not parallel-eligible.
+/// not parallel-eligible, and to rerun a region whose build crossed the
+/// spill budget.
 std::unique_ptr<Executor> BuildBatchTree(const PhysPtr& plan,
                                          ExecContext* ctx);
 
 /// True if the subtree rooted at `plan` can run as (part of) a parallel
 /// region: table-scan leaves, filters, projections, and hash joins whose
 /// probe side is eligible (build sides may be anything — ineligible ones
-/// are drained serially by the gather's build phase). When `spill_armed`,
-/// hash joins are ineligible: they must run as serial row-mode grace joins
-/// so they can partition to disk under memory pressure.
-bool ParallelEligible(const PhysicalPlan& plan, bool spill_armed = false);
+/// are drained serially by the gather's build phase). Spill does not
+/// enter: a build phase that crosses the spill budget abandons the
+/// parallel attempt and the region reruns through BuildBatchTree, whose
+/// hash joins spill at run time.
+bool ParallelEligible(const PhysicalPlan& plan);
 
 }  // namespace qopt::exec::internal
 

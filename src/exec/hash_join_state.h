@@ -12,21 +12,74 @@
 // during probing, with one exception: a non-int64 probe key arriving at an
 // int-keyed table lazily builds the generic multimap — under a mutex, so
 // concurrent probers stay safe.
+//
+// GracePartitions: the partition files a hash join writes once its build
+// crosses the spill budget (DESIGN.md §3.13).
 #ifndef QOPT_EXEC_HASH_JOIN_STATE_H_
 #define QOPT_EXEC_HASH_JOIN_STATE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
+#include "storage/spill.h"
 
 namespace qopt::exec::internal {
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
+};
+
+/// The partition files of a spilled (grace) hash join, shared by the row
+/// and batch hash joins: one build and one probe file per partition.
+struct GracePartitions {
+  using Files = std::vector<std::unique_ptr<SpillFile>>;
+  Files build;
+  Files probe;
+
+  bool spilled() const { return !build.empty(); }
+
+  void Clear() {
+    build.clear();
+    probe.clear();
+  }
+
+  /// Creates max(2, `fanout`) build and probe files in `dir`.
+  Status Open(size_t fanout, const std::string& dir) {
+    fanout = std::max<size_t>(2, fanout);
+    for (Files* side : {&build, &probe}) {
+      for (size_t i = 0; i < fanout; ++i) {
+        std::unique_ptr<SpillFile> file;
+        QOPT_ASSIGN_OR_RETURN(file, SpillFile::Create(dir));
+        side->push_back(std::move(file));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Appends `row` to the file of the partition of its join key
+  /// `row[key_pos]`. NULL keys go to partition 0, where they match nothing
+  /// but still reach left-outer/anti emission. The partition function
+  /// mixes Value::Hash through a splitmix64 finalizer, so partition skew
+  /// stays independent of the in-memory hash table's bucketing.
+  static Status Append(Files& side, const Row& row, size_t key_pos) {
+    const Value& key = row[key_pos];
+    size_t p = 0;
+    if (!key.is_null()) {
+      uint64_t h = static_cast<uint64_t>(key.Hash()) + 0x9e3779b97f4a7c15ULL;
+      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+      p = (h ^ (h >> 31)) % side.size();
+    }
+    return side[p]->Append(row);
+  }
 };
 
 struct JoinBuildState {

@@ -2,6 +2,7 @@
 #include <unordered_map>
 
 #include "exec/executors_internal.h"
+#include "exec/hash_join_state.h"
 #include "testing/fault_injection.h"
 
 namespace qopt::exec::internal {
@@ -268,7 +269,13 @@ class MergeJoinExec : public JoinExecBase {
 };
 
 /// Hash join: builds on the right input, probes with the left, so left
-/// outer/semi/anti joins preserve the left side naturally.
+/// outer/semi/anti joins preserve the left side naturally. The build runs
+/// in memory; when spill is armed and the buffered build side crosses the
+/// spill budget, both inputs are hash-partitioned to disk and each
+/// partition pair is joined in memory independently (grace hash join;
+/// single level, no recursive repartitioning). Spilled output order is
+/// partition-major, a documented difference from the in-memory probe
+/// order — results are multiset-identical.
 class HashJoinExec : public JoinExecBase {
  public:
   using JoinExecBase::JoinExecBase;
@@ -277,146 +284,76 @@ class HashJoinExec : public JoinExecBase {
     left_->Init();
     right_->Init();
     table_.clear();
-    rows_.clear();
-    auto rit = right_->colmap().find(plan_->right_key);
-    QOPT_DCHECK(rit != right_->colmap().end());
-    int rk = rit->second;
-    rows_.reserve(ReserveHint(plan_->children[1]->est_rows));
-    Row r;
-    while (right_->Next(&r)) {
-      if (r[rk].is_null()) continue;  // NULL keys never match
-      if (!ctx_->GovernorCharge(1, ModeledRowBytes(r))) break;
-      ChargeMem(ModeledRowBytes(r));
-      rows_.push_back(std::move(r));
-    }
-    table_.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      table_.emplace(rows_[i][rk], i);
-    }
-    auto lit = left_->colmap().find(plan_->left_key);
-    QOPT_DCHECK(lit != left_->colmap().end());
-    lk_ = lit->second;
-    out_buffer_.clear();
-    buffer_pos_ = 0;
-  }
-
-  bool NextImpl(Row* out) override {
-    for (;;) {
-      if (DrainBuffer(out)) return true;
-      Row l;
-      if (!left_->Next(&l)) return false;
-      std::vector<const Row*> matches;
-      const Value& key = l[lk_];
-      if (!key.is_null()) {
-        auto [begin, end] = table_.equal_range(key);
-        for (auto it = begin; it != end; ++it) {
-          const Row& r = rows_[it->second];
-          if (!plan_->predicate ||
-              EvalJoinPred(plan_->predicate, Combine(l, r))) {
-            matches.push_back(&r);
-          }
-        }
-      }
-      EmitForLeftRow(l, matches);
-    }
-  }
-
- private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  std::unordered_multimap<Value, size_t, ValueHash> table_;
-  std::vector<Row> rows_;
-  int lk_ = 0;
-};
-
-/// Grace hash join: the spill-armed replacement for HashJoinExec. The
-/// build (right) side buffers in memory up to the spill budget; past it,
-/// both inputs are hash-partitioned to disk and each partition pair is
-/// joined in memory independently (single level, no recursive
-/// repartitioning). Output order is partition-major, a documented
-/// difference from the in-memory join's probe order — results are
-/// multiset-identical.
-///
-/// The partition function mixes Value::Hash with a splitmix64 finalizer so
-/// it is independent of the in-memory hash table's bucketing — partition
-/// skew and bucket skew stay uncorrelated.
-class GraceHashJoinExec : public JoinExecBase {
- public:
-  using JoinExecBase::JoinExecBase;
-
-  void InitImpl() override {
-    left_->Init();
-    right_->Init();
-    table_.clear();
     build_rows_.clear();
-    build_parts_.clear();
-    probe_parts_.clear();
+    parts_.Clear();
     next_part_ = 0;
     have_partition_ = false;
-    spilled_ = false;
+    mem_charged_ = 0;
     out_buffer_.clear();
     buffer_pos_ = 0;
     auto rit = right_->colmap().find(plan_->right_key);
     auto lit = left_->colmap().find(plan_->left_key);
     QOPT_DCHECK(rit != right_->colmap().end());
     QOPT_DCHECK(lit != left_->colmap().end());
-    rk_ = rit->second;
-    lk_ = lit->second;
+    rk_ = static_cast<size_t>(rit->second);
+    lk_ = static_cast<size_t>(lit->second);
     const SpillConfig& sp = ctx_->spill;
+    build_rows_.reserve(ReserveHint(plan_->children[1]->est_rows));
     uint64_t buffered = 0;
     Row r;
     while (right_->Next(&r)) {
-      if (r[static_cast<size_t>(rk_)].is_null()) continue;  // never matches
-      // Memory is bounded by construction (spill budget): charge only the
-      // governor's row budget/deadline.
-      if (!ctx_->GovernorCharge(1, 0)) break;
-      if (!spilled_) {
-        buffered += ModeledRowBytes(r);
-        build_rows_.push_back(std::move(r));
-        if (buffered > sp.budget_bytes && build_rows_.size() > 1) {
-          if (!BeginSpill()) break;
+      if (r[rk_].is_null()) continue;  // never matches
+      uint64_t rb = ModeledRowBytes(r);
+      // Spill-armed, memory is bounded by construction (the spill budget):
+      // charge only the governor's row budget/deadline.
+      if (!ctx_->GovernorCharge(1, sp.armed ? 0 : rb)) break;
+      if (parts_.spilled()) {
+        if (!ctx_->Check(GracePartitions::Append(parts_.build, r, rk_))) {
+          break;
         }
-      } else {
-        if (!AppendPart(build_parts_, r)) break;
+        continue;
+      }
+      buffered += rb;
+      build_rows_.push_back(std::move(r));
+      if (sp.armed && buffered > sp.budget_bytes && build_rows_.size() > 1 &&
+          !BeginSpill()) {
+        break;
       }
     }
     if (ctx_->Failed()) return;
-    if (!spilled_) {
+    if (!parts_.spilled()) {
       ChargeMem(buffered);
       BuildTable();
       return;
     }
-    // Seal the build partitions, then partition the ENTIRE probe side:
-    // rows with NULL keys go to partition 0 so left-outer/anti emission
-    // still sees them (they match nothing there).
-    if (!SealParts(build_parts_)) return;
+    // Seal the build partitions, then partition the ENTIRE probe side.
+    if (!SealSpillFiles(parts_.build)) return;
     Row l;
     while (left_->Next(&l)) {
-      if (!AppendPart(probe_parts_, l)) return;
+      if (!ctx_->Check(GracePartitions::Append(parts_.probe, l, lk_))) return;
     }
     if (ctx_->Failed()) return;
-    SealParts(probe_parts_);
+    SealSpillFiles(parts_.probe);
   }
 
   bool NextImpl(Row* out) override {
     for (;;) {
       if (DrainBuffer(out)) return true;
       if (ctx_->Failed()) return false;
-      if (!spilled_) {
+      if (!parts_.spilled()) {
         Row l;
         if (!left_->Next(&l)) return false;
         Probe(l);
         continue;
       }
       if (!have_partition_) {
-        if (next_part_ >= build_parts_.size()) return false;
+        if (next_part_ >= parts_.build.size()) return false;
         if (!LoadPartition(next_part_)) return false;
         ++next_part_;
         have_partition_ = true;
       }
       Row l;
-      auto more = probe_parts_[next_part_ - 1]->ReadNext(&l);
+      auto more = parts_.probe[next_part_ - 1]->ReadNext(&l);
       if (!more.ok()) {
         ctx_->Fail(more.status());
         return false;
@@ -431,27 +368,16 @@ class GraceHashJoinExec : public JoinExecBase {
   }
 
  private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-
-  size_t PartOf(const Value& v) const {
-    uint64_t h = static_cast<uint64_t>(v.Hash()) + 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return (h ^ (h >> 31)) % build_parts_.size();
-  }
-
   void BuildTable() {
     table_.reserve(build_rows_.size());
     for (size_t i = 0; i < build_rows_.size(); ++i) {
-      table_.emplace(build_rows_[i][static_cast<size_t>(rk_)], i);
+      table_.emplace(build_rows_[i][rk_], i);
     }
   }
 
   void Probe(const Row& l) {
     std::vector<const Row*> matches;
-    const Value& key = l[static_cast<size_t>(lk_)];
+    const Value& key = l[lk_];
     if (!key.is_null()) {
       auto [begin, end] = table_.equal_range(key);
       for (auto it = begin; it != end; ++it) {
@@ -467,49 +393,16 @@ class GraceHashJoinExec : public JoinExecBase {
 
   /// Opens the partition files and flushes the buffered build rows.
   bool BeginSpill() {
-    size_t fanout = std::max<size_t>(2, ctx_->spill.partitions);
-    for (auto* parts : {&build_parts_, &probe_parts_}) {
-      for (size_t i = 0; i < fanout; ++i) {
-        auto f = SpillFile::Create(ctx_->spill.dir);
-        if (!f.ok()) {
-          ctx_->Fail(f.status());
-          return false;
-        }
-        parts->push_back(std::move(f).value());
-      }
-    }
-    spilled_ = true;
-    for (const Row& r : build_rows_) {
-      if (!AppendPart(build_parts_, r)) return false;
-    }
-    build_rows_.clear();
-    return true;
-  }
-
-  bool AppendPart(std::vector<std::unique_ptr<SpillFile>>& parts,
-                  const Row& r) {
-    const Value& key = r[static_cast<size_t>(&parts == &build_parts_ ? rk_
-                                                                     : lk_)];
-    size_t p = key.is_null() ? 0 : PartOf(key);
-    Status s = parts[p]->Append(r);
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
+    if (!ctx_->Check(
+            parts_.Open(ctx_->spill.partitions, ctx_->spill.dir))) {
       return false;
     }
-    return true;
-  }
-
-  /// Flushes every partition file and records the non-empty ones as spill
-  /// runs.
-  bool SealParts(std::vector<std::unique_ptr<SpillFile>>& parts) {
-    for (auto& f : parts) {
-      Status s = f->FinishWrite();
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
+    for (const Row& r : build_rows_) {
+      if (!ctx_->Check(GracePartitions::Append(parts_.build, r, rk_))) {
         return false;
       }
-      if (f->rows() > 0) RecordSpill(1, f->bytes_written());
     }
+    build_rows_.clear();
     return true;
   }
 
@@ -518,15 +411,11 @@ class GraceHashJoinExec : public JoinExecBase {
   bool LoadPartition(size_t p) {
     build_rows_.clear();
     table_.clear();
-    Status s = build_parts_[p]->Rewind();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
-    }
+    if (!ctx_->Check(parts_.build[p]->Rewind())) return false;
     uint64_t bytes = 0;
     Row r;
     for (;;) {
-      auto more = build_parts_[p]->ReadNext(&r);
+      auto more = parts_.build[p]->ReadNext(&r);
       if (!more.ok()) {
         ctx_->Fail(more.status());
         return false;
@@ -535,24 +424,22 @@ class GraceHashJoinExec : public JoinExecBase {
       bytes += ModeledRowBytes(r);
       build_rows_.push_back(std::move(r));
     }
-    ChargeMem(bytes);
-    BuildTable();
-    s = probe_parts_[p]->Rewind();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
+    // One partition is resident at a time: the peak is the largest one.
+    if (bytes > mem_charged_) {
+      ChargeMem(bytes - mem_charged_);
+      mem_charged_ = bytes;
     }
-    return true;
+    BuildTable();
+    return ctx_->Check(parts_.probe[p]->Rewind());
   }
 
   std::unordered_multimap<Value, size_t, ValueHash> table_;
   std::vector<Row> build_rows_;
-  std::vector<std::unique_ptr<SpillFile>> build_parts_;
-  std::vector<std::unique_ptr<SpillFile>> probe_parts_;
+  GracePartitions parts_;  ///< Empty until the build crosses the budget.
   size_t next_part_ = 0;
   bool have_partition_ = false;
-  bool spilled_ = false;
-  int lk_ = 0, rk_ = 0;
+  uint64_t mem_charged_ = 0;  ///< Largest partition charged via ChargeMem.
+  size_t lk_ = 0, rk_ = 0;
 };
 
 /// Tuple-iteration correlated subquery: for each outer row, binds the
@@ -637,10 +524,6 @@ std::unique_ptr<Executor> NewJoinExec(const PhysicalPlan* plan,
       return std::make_unique<MergeJoinExec>(plan, ctx, std::move(left),
                                              std::move(right));
     case PhysOpKind::kHashJoin:
-      if (ctx->spill.armed) {
-        return std::make_unique<GraceHashJoinExec>(plan, ctx, std::move(left),
-                                                   std::move(right));
-      }
       return std::make_unique<HashJoinExec>(plan, ctx, std::move(left),
                                             std::move(right));
     default:

@@ -26,6 +26,13 @@
 // On any worker failure (governor trip, injected fault) a shared abort
 // flag drains the morsel cursors so all workers unwind promptly; the first
 // failing worker's status (in worker order) becomes the query error.
+//
+// Spill is decided at run time here too. With spill armed, each build
+// phase adds its modeled bytes to one shared atomic count; once that count
+// crosses the spill budget (exactly when the serial batch join's build
+// would), the attempt is abandoned through the same abort flag, its
+// partial state and worker stats are dropped, and the region reruns on the
+// serial batch tree, whose hash join spills.
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -41,20 +48,16 @@
 
 namespace qopt::exec::internal {
 
-bool ParallelEligible(const PhysicalPlan& plan, bool spill_armed) {
+bool ParallelEligible(const PhysicalPlan& plan) {
   switch (plan.kind) {
     case PhysOpKind::kTableScan:
       return true;
     case PhysOpKind::kFilter:
     case PhysOpKind::kProject:
-      return ParallelEligible(*plan.children[0], spill_armed);
     case PhysOpKind::kHashJoin:
-      // A spill-armed hash join must run as a serial grace join so it can
-      // partition its inputs to disk under memory pressure; otherwise the
-      // probe side must be eligible (it carries the morsel scan) while the
-      // build side is handled either way by a build phase.
-      if (spill_armed) return false;
-      return ParallelEligible(*plan.children[0], spill_armed);
+      // A hash join's probe side must be eligible (it carries the morsel
+      // scan); its build side is handled either way by a build phase.
+      return ParallelEligible(*plan.children[0]);
     default:
       return false;
   }
@@ -76,6 +79,13 @@ class ParallelGatherExec : public Executor {
     if (ctx_->Failed()) return;
     dop_ = std::clamp<size_t>(ctx_->dop, 1, ThreadPool::kMaxThreads);
     abort_.store(false, std::memory_order_relaxed);
+    spill_fallback_.store(false);
+    // What the main context held before the attempt, restored should a
+    // build phase cross the spill budget (the serial build drains write
+    // to it directly).
+    const ExecStats stats_before = ctx_->stats;
+    OperatorStatsMap op_stats_before;
+    if (ctx_->analyze && ctx_->spill.armed) op_stats_before = ctx_->op_stats;
     states_.clear();
     sources_.clear();
     wctx_.clear();
@@ -101,6 +111,12 @@ class ParallelGatherExec : public Executor {
     }
     RunBuildPhases(pipeline_root_);
     if (!Aborted()) RunFinalPhase();
+    if (spill_fallback_.load() && !ctx_->Failed() &&
+        std::all_of(wctx_.begin(), wctx_.end(),
+                    [](const auto& wc) { return wc->status.ok(); })) {
+      RunSerialFallback(stats_before, op_stats_before);
+      return;
+    }
     for (const std::unique_ptr<ExecContext>& wc : wctx_) {
       ctx_->stats.modeled_pages_read += wc->stats.modeled_pages_read;
       ctx_->stats.page_touches += wc->stats.page_touches;
@@ -268,8 +284,10 @@ class ParallelGatherExec : public Executor {
         state->rk = static_cast<size_t>(KeyPos(build, node->right_key));
         size_t hint = ReserveHint(build->est_rows);
         for (std::vector<Value>& col : state->build_cols) col.reserve(hint);
-        if (ParallelEligible(*build)) {
-          RunBuildPhases(build);  // nested joins inside the build side
+        const bool parallel_build = ParallelEligible(*build);
+        if (parallel_build) RunBuildPhases(build);  // nested build-side joins
+        build_bytes_.store(0);
+        if (parallel_build) {
           ParallelBuild(build, state.get());
         } else {
           SerialBuild(build, state.get());
@@ -296,19 +314,37 @@ class ParallelGatherExec : public Executor {
   }
 
   /// Appends `batch`'s live rows with non-NULL keys to columnar `cols`,
-  /// charging the governor per row (the row-mode build's formula). Shared
-  /// by the serial and parallel build drains.
-  static void AppendBuildRows(RowBatch* batch, size_t rk, size_t rwidth,
-                              ExecContext* wc,
-                              std::vector<std::vector<Value>>* cols) {
+  /// charging the governor per row (the row-mode build's formula; row
+  /// bookkeeping only when spill-armed, as in the serial batch join).
+  /// Shared by the serial and parallel build drains. False when the drain
+  /// must stop: a governor trip, or the build's shared byte count crossing
+  /// the spill budget, which flags the region for the serial fallback.
+  bool AppendBuildRows(RowBatch* batch, size_t rk, size_t rwidth,
+                       ExecContext* wc,
+                       std::vector<std::vector<Value>>* cols) {
+    const SpillConfig& sp = ctx_->spill;
+    const uint64_t row_bytes = 16 + 24 * rwidth;
+    uint64_t appended = 0;
     for (size_t k = 0; k < batch->ActiveSize(); ++k) {
       uint32_t r = batch->ActiveIndex(k);
       if (batch->At(rk, r).is_null()) continue;  // NULL keys never match
-      if (!wc->GovernorCharge(1, 16 + 24 * rwidth)) return;
+      if (!wc->GovernorCharge(1, sp.armed ? 0 : row_bytes)) return false;
       for (size_t c = 0; c < rwidth; ++c) {
         (*cols)[c].push_back(std::move(batch->column(c)[r]));
       }
+      ++appended;
     }
+    if (!sp.armed) return true;
+    // The serial join spills once its build exceeds the budget with more
+    // than one row buffered, i.e. once its bytes exceed max(budget, one
+    // row): the same test on the total here makes the fallback fire
+    // exactly when the serial tree would spill.
+    const uint64_t bytes = appended * row_bytes;
+    const uint64_t total = build_bytes_.fetch_add(bytes) + bytes;
+    if (total <= std::max(sp.budget_bytes, row_bytes)) return true;
+    spill_fallback_.store(true);
+    abort_.store(true, std::memory_order_relaxed);
+    return false;
   }
 
   /// Partitioned parallel build: workers drain morsels of the eligible
@@ -326,8 +362,8 @@ class ParallelGatherExec : public Executor {
       std::unique_ptr<Executor> tree = BuildWorkerTree(build, wc);
       tree->Init();
       RowBatch b;
-      while (!wc->Failed() && tree->NextBatch(&b)) {
-        AppendBuildRows(&b, state->rk, rwidth, wc, &parts[w]);
+      while (!wc->Failed() && tree->NextBatch(&b) &&
+             AppendBuildRows(&b, state->rk, rwidth, wc, &parts[w])) {
       }
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });
@@ -347,11 +383,59 @@ class ParallelGatherExec : public Executor {
     std::unique_ptr<Executor> tree = BuildBatchTree(build, ctx_);
     tree->Init();
     RowBatch b;
-    while (!ctx_->Failed() && tree->NextBatch(&b)) {
-      AppendBuildRows(&b, state->rk, build->output_cols.size(), ctx_,
-                      &state->build_cols);
+    while (!ctx_->Failed() && tree->NextBatch(&b) &&
+           AppendBuildRows(&b, state->rk, build->output_cols.size(), ctx_,
+                           &state->build_cols)) {
     }
     if (ctx_->Failed()) abort_.store(true, std::memory_order_relaxed);
+  }
+
+  /// Reruns the region on the serial batch tree after a build phase
+  /// crossed the spill budget; its hash join then spills at run time. The
+  /// abandoned attempt's worker stats are dropped and the main context's
+  /// stats restored to `stats_before`/`op_stats_before`, so row counters
+  /// equal a serial run's. Its buffer-pool touches are not undone, so
+  /// modeled pages stay flagged divergent, and its governor row charges
+  /// are not refunded. Output is drained into `results_`, as the parallel
+  /// path's is.
+  void RunSerialFallback(const ExecStats& stats_before,
+                         const OperatorStatsMap& op_stats_before) {
+    wctx_.clear();
+    states_.clear();
+    sources_.clear();
+    ctx_->stats = stats_before;
+    ctx_->stats.parallel_pages_divergent = true;
+    OperatorStats root_before;
+    if (ctx_->analyze) {
+      for (auto& [node, os] : ctx_->op_stats) {
+        auto it = op_stats_before.find(node);
+        os = it == op_stats_before.end() ? OperatorStats{} : it->second;
+      }
+      root_before = ctx_->op_stats[plan_];
+    }
+    std::unique_ptr<Executor> tree = BuildBatchTree(root_, ctx_);
+    tree->Init();
+    RowBatch b;
+    while (!ctx_->Failed() && tree->NextBatch(&b)) StealRows(&b, &results_);
+    if (ctx_->analyze) {
+      // The serial root shares this gather's plan node, whose dispatcher
+      // already counts the region's inits, output and time: keep only the
+      // root's memory, spill and expression stats from the rerun.
+      OperatorStats& os = ctx_->op_stats[plan_];
+      os.inits = root_before.inits;
+      os.rows_out = root_before.rows_out;
+      os.batches_out = root_before.batches_out;
+      os.next_calls = root_before.next_calls;
+      os.wall_ns = root_before.wall_ns;
+    }
+  }
+
+  static void StealRows(RowBatch* b, std::vector<Row>* out) {
+    for (size_t k = 0; k < b->ActiveSize(); ++k) {
+      Row r;
+      b->StealActive(k, &r);
+      out->push_back(std::move(r));
+    }
   }
 
   void RunFinalPhase() {
@@ -366,13 +450,7 @@ class ParallelGatherExec : public Executor {
       std::unique_ptr<Executor> tree = BuildWorkerTree(pipeline_root_, wc);
       tree->Init();
       RowBatch b;
-      while (!wc->Failed() && tree->NextBatch(&b)) {
-        for (size_t k = 0; k < b.ActiveSize(); ++k) {
-          Row r;
-          b.StealActive(k, &r);
-          outs[w].push_back(std::move(r));
-        }
-      }
+      while (!wc->Failed() && tree->NextBatch(&b)) StealRows(&b, &outs[w]);
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });
     size_t total = 0;
@@ -567,6 +645,10 @@ class ParallelGatherExec : public Executor {
   PhysPtr pipeline_root_;
   size_t dop_ = 1;
   std::atomic<bool> abort_{false};
+  /// Set when a build phase crossed the spill budget (see AppendBuildRows).
+  std::atomic<bool> spill_fallback_{false};
+  /// Modeled bytes of the current build phase, summed across workers.
+  std::atomic<uint64_t> build_bytes_{0};
   std::vector<std::unique_ptr<ExecContext>> wctx_;
   std::unordered_map<const PhysicalPlan*, std::unique_ptr<MorselSource>>
       sources_;

@@ -141,9 +141,11 @@ TEST_F(SpillExecTest, GraceHashJoinMatchesInMemoryJoin) {
       "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid AND t.id < 2500";
   QueryResult baseline = Run(sql, {});
   EXPECT_EQ(baseline.exec_stats.spill_runs, 0u);
-  for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kBatch}) {
+  for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kBatch,
+                              exec::ExecMode::kParallel}) {
     QueryOptions opts;
     opts.execution_mode = mode;
+    opts.dop = 4;
     opts.spill.operator_budget_bytes = 1024;
     opts.spill.partitions = 4;
     QueryResult spilled = Run(sql, opts);
@@ -186,21 +188,89 @@ TEST_F(SpillExecTest, GovernorBudgetDegradesInsteadOfFailing) {
   ExpectIdentical(degraded.rows, Run(sql, {}).rows);
 }
 
-TEST_F(SpillExecTest, NoSpillFilesLeftBehind) {
-  namespace fs = std::filesystem;
-  auto count_spill_files = [] {
-    size_t n = 0;
-    for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
-      if (e.path().filename().string().rfind("qopt_spill_", 0) == 0) ++n;
-    }
-    return n;
-  };
-  size_t before = count_spill_files();
+// A budget that is never crossed costs nothing: under the serving-path
+// governor defaults spill is armed, yet the join stays vectorized inside a
+// parallel region under a parallel aggregate, and nothing spills.
+TEST_F(SpillExecTest, UncrossedBudgetKeepsBatchAndParallelJoins) {
+  const std::string sql =
+      "SELECT t.payload, COUNT(*) FROM t, g WHERE t.grp = g.gid "
+      "GROUP BY t.payload";
   QueryOptions opts;
-  opts.spill.operator_budget_bytes = 2 * 1024;
-  Run("SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid ORDER BY t.id",
-      opts);
-  EXPECT_EQ(count_spill_files(), before);
+  opts.execution_mode = exec::ExecMode::kParallel;
+  opts.dop = 4;
+  opts.governor = GovernorOptions::ServiceDefaults();
+  QueryResult governed = Run(sql, opts);
+  EXPECT_EQ(governed.exec_stats.spill_runs, 0u);
+  QueryOptions unarmed = opts;
+  unarmed.spill.enabled = false;
+  testing::ExpectSameRows(governed.rows, Run(sql, unarmed).rows);
+
+  auto text = db_.Explain(sql, opts);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  auto line_of = [&](const std::string& op) {
+    size_t at = text.value().find(op);
+    if (at == std::string::npos) return std::string();
+    size_t end = text.value().find('\n', at);
+    return text.value().substr(at, end - at);
+  };
+  const std::string agg = line_of("HashAggregate");
+  const std::string join = line_of("HashJoin");
+  EXPECT_NE(agg.find("[parallel]"), std::string::npos) << text.value();
+  EXPECT_TRUE(join.find("[batch]") != std::string::npos ||
+              join.find("[parallel]") != std::string::npos)
+      << text.value();
+}
+
+// A parallel build that crosses the budget abandons the attempt and reruns
+// the region on the serial batch tree, whose join spills: same rows, and
+// the same row accounting as the serial batch run.
+TEST_F(SpillExecTest, ParallelBuildOverBudgetFallsBackAndSpills) {
+  const std::vector<std::string> queries = {
+      // Build side: a filtered scan of t spread over several morsels.
+      "SELECT a.id, b.payload FROM t a, t b WHERE a.id = b.id AND b.grp < 4",
+      // Region rooted at an aggregate over the join (t is the build side).
+      "SELECT t.payload, COUNT(*) FROM t, g WHERE t.grp = g.gid "
+      "GROUP BY t.payload",
+  };
+  for (const std::string& sql : queries) {
+    QueryOptions mem;
+    mem.spill.enabled = false;
+    QueryResult baseline = Run(sql, mem);
+    QueryOptions serial;
+    serial.execution_mode = exec::ExecMode::kBatch;
+    serial.spill.operator_budget_bytes = 512;
+    QueryResult batch = Run(sql, serial);
+    QueryOptions parallel = serial;
+    parallel.execution_mode = exec::ExecMode::kParallel;
+    parallel.dop = 4;
+    parallel.morsel_rows = 128;
+    QueryResult par = Run(sql, parallel);
+    EXPECT_GT(batch.exec_stats.spill_runs, 0u) << sql;
+    EXPECT_GT(par.exec_stats.spill_runs, 0u) << sql;
+    testing::ExpectSameRows(par.rows, baseline.rows, sql);
+    testing::ExpectSameRows(batch.rows, baseline.rows, sql);
+    EXPECT_EQ(par.exec_stats.rows_scanned, batch.exec_stats.rows_scanned)
+        << sql;
+    EXPECT_EQ(par.exec_stats.rows_joined, batch.exec_stats.rows_joined)
+        << sql;
+  }
+}
+
+TEST_F(SpillExecTest, NoSpillFilesLeftBehind) {
+  testing::ScopedSpillDir dir;
+  ASSERT_TRUE(dir.ok());
+  for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kBatch,
+                              exec::ExecMode::kParallel}) {
+    QueryOptions opts;
+    opts.execution_mode = mode;
+    opts.spill.operator_budget_bytes = 2 * 1024;
+    opts.spill.dir = dir.path();
+    QueryResult r = Run(
+        "SELECT t.id, g.label FROM t, g WHERE t.grp = g.gid ORDER BY t.id",
+        opts);
+    EXPECT_GT(r.exec_stats.spill_runs, 0u);
+    EXPECT_EQ(dir.CountFiles(), 0u);
+  }
 }
 
 TEST_F(SpillExecTest, ExplainAnalyzeShowsSpillAnnotation) {

@@ -4,8 +4,12 @@
 #define QOPT_TESTS_TESTING_DB_FIXTURES_H_
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <iterator>
+#include <string>
 
 #include "engine/database.h"
 #include "workload/datagen.h"
@@ -32,6 +36,40 @@ inline void ExpectSameRows(std::vector<Row> got, std::vector<Row> want,
         << ", want " << RowToString(want[i]);
   }
 }
+
+/// A private spill directory for tests that count spill files: created
+/// with mkdtemp, so spill files of concurrently running test processes in
+/// the shared temp directory cannot race the count. Removed, with anything
+/// left in it, on destruction.
+class ScopedSpillDir {
+ public:
+  ScopedSpillDir() {
+    std::error_code ec;
+    std::string tmpl =
+        (std::filesystem::temp_directory_path(ec) / "qopt_test_spill_XXXXXX")
+            .string();
+    if (!ec && ::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~ScopedSpillDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  ScopedSpillDir(const ScopedSpillDir&) = delete;
+  ScopedSpillDir& operator=(const ScopedSpillDir&) = delete;
+
+  bool ok() const { return !path_.empty(); }
+  const std::string& path() const { return path_; }
+
+  /// Files currently in the directory.
+  size_t CountFiles() const {
+    return static_cast<size_t>(
+        std::distance(std::filesystem::directory_iterator(path_),
+                      std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::string path_;
+};
 
 /// Loads the paper's Emp/Dept schema (Sections 4.2.2 / 4.3) with enough
 /// data to make optimization interesting, plus indexes and statistics.

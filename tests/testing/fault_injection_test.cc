@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <map>
 #include <string>
 
@@ -200,23 +199,17 @@ TEST_F(FaultInjectionTest, SpillFaultsLeaveNoOrphanedFiles) {
   // A mid-query spill I/O failure must unwind the whole operator: the
   // query fails with the injected status and every spill file written so
   // far is removed. A retry with the fault cleared succeeds from scratch.
-  namespace fs = std::filesystem;
-  auto count_spill_files = [] {
-    size_t n = 0;
-    for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
-      if (e.path().filename().string().rfind("qopt_spill_", 0) == 0) ++n;
-    }
-    return n;
-  };
+  ScopedSpillDir dir;
+  ASSERT_TRUE(dir.ok());
   QueryOptions options;
   options.spill.operator_budget_bytes = 1024;
+  options.spill.dir = dir.path();
   const std::string sql =
       "SELECT e.eid, e.dept_name FROM Emp e ORDER BY e.dept_name, e.eid";
   auto baseline = db_.Query(sql, options);
   ASSERT_TRUE(baseline.ok());
   ASSERT_GT(baseline->exec_stats.spill_runs, 0u);
 
-  const size_t before = count_spill_files();
   for (const char* point : {"storage.spill.open", "storage.spill.write"}) {
     // kNth so some spill files are created successfully before the fault
     // fires — the interesting cleanup case.
@@ -224,12 +217,56 @@ TEST_F(FaultInjectionTest, SpillFaultsLeaveNoOrphanedFiles) {
                                   StatusCode::kInternal, "disk full");
     auto injected = db_.Query(sql, options);
     ASSERT_FALSE(injected.ok()) << point;
-    EXPECT_EQ(count_spill_files(), before)
+    EXPECT_EQ(dir.CountFiles(), 0u)
         << point << ": orphaned spill files left behind";
     FaultRegistry::Instance().DisarmAll();
     auto retried = db_.Query(sql, options);
     ASSERT_TRUE(retried.ok()) << point;
     ExpectSameRows(retried->rows, baseline->rows, point);
+  }
+}
+
+TEST_F(FaultInjectionTest, SpilledJoinFaultsFailCleanInBatchAndParallel) {
+  // The batch hash join spills at run time, and in parallel mode only after
+  // the region falls back to the serial batch tree: a spill I/O fault in
+  // either must surface as the injected Status and leave no file behind.
+  ScopedSpillDir dir;
+  ASSERT_TRUE(dir.ok());
+  const std::string sql =
+      "SELECT e.eid, d.name FROM Emp e, Dept d WHERE e.did = d.did";
+  for (exec::ExecMode mode :
+       {exec::ExecMode::kBatch, exec::ExecMode::kParallel}) {
+    QueryOptions options;
+    options.execution_mode = mode;
+    options.dop = 4;
+    options.spill.operator_budget_bytes = 256;
+    options.spill.dir = dir.path();
+    // The join must be a hash join for its build to spill.
+    options.optimizer.selinger.enable_index_nl_join = false;
+    options.optimizer.selinger.enable_merge_join = false;
+    options.optimizer.selinger.enable_nl_join = false;
+    options.use_plan_cache = false;
+    auto baseline = db_.Query(sql, options);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ASSERT_GT(baseline->exec_stats.spill_runs, 0u);
+    for (const char* point : {"storage.spill.open", "storage.spill.write"}) {
+      const std::string label =
+          std::string(point) + " mode=" + std::to_string(static_cast<int>(mode));
+      FaultRegistry::Instance().Arm(point, FaultMode::kNth, 3,
+                                    StatusCode::kInternal, "disk full");
+      auto injected = db_.Query(sql, options);
+      ASSERT_FALSE(injected.ok()) << label;
+      EXPECT_EQ(injected.status().code(), StatusCode::kInternal) << label;
+      EXPECT_NE(injected.status().message().find("disk full"),
+                std::string::npos)
+          << label << ": " << injected.status().ToString();
+      EXPECT_EQ(dir.CountFiles(), 0u)
+          << label << ": orphaned spill files left behind";
+      FaultRegistry::Instance().DisarmAll();
+      auto retried = db_.Query(sql, options);
+      ASSERT_TRUE(retried.ok()) << label;
+      ExpectSameRows(retried->rows, baseline->rows, label);
+    }
   }
 }
 
