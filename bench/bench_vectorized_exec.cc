@@ -1,12 +1,13 @@
-// E19: vectorized batch execution vs row-at-a-time Volcano iteration.
+// E19: vectorized batch execution vs row-at-a-time iteration.
 //
 // Runs scan -> filter, scan -> filter -> hash join, and
 // scan -> filter -> hash join -> aggregate pipelines at several predicate
 // selectivities and batch capacities, executing the SAME physical plan in
-// both engine modes. Batching amortizes per-row virtual-call and Row
-// materialization overheads across a column-wise batch, so the win is
-// largest on cheap-per-row pipelines; both modes produce identical rows
-// and identical ExecStats (asserted here on every run).
+// batch mode and in row mode, which runs the same operators at batch
+// capacity 1. Batching amortizes per-call dispatch and per-batch setup
+// across a column-wise batch, so the win is largest on cheap-per-row
+// pipelines; both modes produce identical rows and identical ExecStats
+// (asserted here on every run).
 //
 // Usage: bench_vectorized_exec [output.json]
 // Writes machine-readable results as JSON (default BENCH_vectorized.json).
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
   Banner("E19", "Vectorized batch execution",
          "batch-at-a-time execution over column batches with selection "
          "vectors amortizes iterator overhead; identical results and "
-         "ExecStats to the row engine");
+         "ExecStats to row mode (the same operators at batch capacity 1)");
 
   constexpr int64_t kFactRows = 200000;
   constexpr int64_t kDimRows = 1000;

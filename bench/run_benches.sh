@@ -14,7 +14,7 @@ if [[ ! -d "$build_dir" ]]; then
 fi
 cmake --build "$build_dir" --target bench_vectorized_exec bench_compiled_expr \
   bench_plan_cache bench_observability bench_serving bench_feedback \
-  bench_data_plane -j "$(nproc)"
+  bench_parallel_exec bench_governor_overhead bench_data_plane -j "$(nproc)"
 
 "$build_dir/bench/bench_vectorized_exec" "$repo_root/BENCH_vectorized.json"
 echo "wrote $repo_root/BENCH_vectorized.json"
@@ -28,6 +28,14 @@ echo "wrote $repo_root/BENCH_plan_cache.json"
 
 "$build_dir/bench/bench_observability" "$repo_root/BENCH_observability.json"
 echo "wrote $repo_root/BENCH_observability.json"
+
+# Exits nonzero on a parallel/serial row-stat divergence or a modeled
+# speedup below 2x at dop 4.
+"$build_dir/bench/bench_parallel_exec" "$repo_root/BENCH_parallel.json"
+echo "wrote $repo_root/BENCH_parallel.json"
+
+"$build_dir/bench/bench_governor_overhead" "$repo_root/BENCH_governor.json"
+echo "wrote $repo_root/BENCH_governor.json"
 
 "$build_dir/bench/bench_serving" "$repo_root/BENCH_serving.json"
 echo "wrote $repo_root/BENCH_serving.json"

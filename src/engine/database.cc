@@ -1028,7 +1028,8 @@ std::string ExplainHeader(const opt::OptimizeInfo& info) {
 std::string RenderPlanText(const exec::PhysPtr& plan,
                            const QueryOptions& options,
                            const exec::PlanAnnotations* annotations) {
-  if (options.execution_mode == exec::ExecMode::kParallel) {
+  if (options.execution_mode == exec::ExecMode::kParallel &&
+      options.dop > 1) {
     // Mark the morsel-parallel region roots plus the vectorized operators
     // the serial remainder of the plan will use.
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
@@ -1040,9 +1041,10 @@ std::string RenderPlanText(const exec::PhysPtr& plan,
            "[batch])\n" +
            plan->ToString(0, &batch_nodes, &parallel_roots, annotations);
   }
-  if (options.execution_mode == exec::ExecMode::kBatch) {
-    // Mark the operators the builder will run vectorized; the rest fall
-    // back to row mode (Apply subtrees, index nested-loops, under Limit).
+  if (options.execution_mode != exec::ExecMode::kRow) {
+    // Batch mode, and parallel at dop 1 (which builds the serial batch
+    // tree): mark the vectorized operators that run at full capacity; the
+    // subtrees under Apply, index nested-loops and Limit run at capacity 1.
     std::unordered_set<const exec::PhysicalPlan*> batch_nodes =
         exec::BatchModeNodes(plan);
     return "execution mode: batch (capacity " +

@@ -35,24 +35,27 @@ struct QueryOptions {
   /// The correctness oracle for tests and the "unoptimized" baseline for
   /// benchmarks.
   bool naive_execution = false;
-  /// Execution engine mode: kBatch (default) runs scans, filters,
-  /// projections and hash-join probes vectorized over RowBatches, falling
-  /// back to row-at-a-time operators where tuple-iteration semantics or
-  /// early termination require it. Both modes return identical results and
-  /// identical ExecStats; kRow forces the classic Volcano path everywhere.
+  /// Execution engine mode (see exec::ExecMode). Every mode builds the same
+  /// operators. kBatch (default) runs them over RowBatches of
+  /// `batch_capacity` rows, except at capacity 1 under Apply, index
+  /// nested-loops and Limit, where read-ahead would change the work done.
+  /// kRow runs everything at capacity 1 (row-at-a-time). kParallel adds
+  /// morsel-parallel regions at dop > 1. All modes return identical results
+  /// and identical ExecStats (parallel regions: but for modeled_pages_read).
   exec::ExecMode execution_mode = exec::ExecMode::kBatch;
   /// Compile bound predicates, projections and aggregate arguments into
-  /// flat type-specialized programs on the vectorized paths (batch and
-  /// parallel modes), falling back to the interpreter per expression for
-  /// shapes the compiler does not cover (CASE, correlated columns, ...).
+  /// flat type-specialized programs, in every execution mode, falling back
+  /// to the interpreter per expression for shapes the compiler does not
+  /// cover (CASE, correlated columns, ...).
   /// Results are byte-identical either way — the interpreter stays the
   /// parity oracle; disable to force interpretation everywhere.
   /// Plan-affecting (compiled programs are cached on the physical plan).
   bool compile_expressions = true;
-  /// Rows per batch on the vectorized path.
+  /// Rows per batch outside the capacity-1 subtrees (ignored by kRow).
   size_t batch_capacity = exec::kDefaultBatchCapacity;
   /// Degree of parallelism under ExecMode::kParallel (workers per parallel
-  /// region, clamped to ThreadPool::kMaxThreads). Ignored in serial modes.
+  /// region, clamped to ThreadPool::kMaxThreads); dop 1 runs as kBatch.
+  /// Ignored in serial modes.
   size_t dop = 4;
   /// Target rows per scan morsel under ExecMode::kParallel.
   size_t morsel_rows = 4096;

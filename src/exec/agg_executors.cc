@@ -77,29 +77,11 @@ class HashAggregateExec : public AggregateExecBase {
     // Preserve first-seen group order for deterministic output.
     std::vector<const Row*> order;
     order.reserve(ReserveHint(plan_->est_rows));
-    if (ctx_->mode != ExecMode::kRow && ctx_->compile_expressions) {
-      // Vectorized drain: aggregate arguments evaluate whole batches at a
-      // time (compiled when possible), and keys gather straight from the
-      // batch columns — no per-input-row Row materialization.
-      if (!BatchDrain(&groups, &order)) return;
-    } else {
-      Row in;
-      while (child_->Next(&in)) {
-        Row key = KeyOf(in);
-        auto [it, inserted] = groups.emplace(std::move(key), NewGroup());
-        if (inserted) {
-          // Each new group adds hash-table state; charge the key row plus a
-          // flat per-accumulator estimate.
-          if (!ctx_->GovernorCharge(
-                  1, ModeledRowBytes(it->first) + 48 * plan_->aggs.size())) {
-            return;
-          }
-          ChargeMem(ModeledRowBytes(it->first) + 48 * plan_->aggs.size());
-          order.push_back(&it->first);
-        }
-        Accumulate(&it->second, in);
-      }
-    }
+    // Vectorized drain: aggregate arguments evaluate whole batches at a
+    // time (compiled when possible, else interpreted batch-wise), and keys
+    // gather straight from the batch columns — no per-input-row Row
+    // materialization.
+    BatchDrain(&groups, &order);
     if (ctx_->Failed()) return;
     if (groups.empty() && plan_->group_by.empty()) {
       // Scalar aggregate over empty input still yields one row
@@ -120,9 +102,10 @@ class HashAggregateExec : public AggregateExecBase {
   }
 
  private:
-  /// Batch-at-a-time input drain. Returns false on governor abort (the
-  /// caller abandons the aggregation, matching the row path).
-  bool BatchDrain(std::unordered_map<Row, Group, RowHash, RowEq>* groups,
+  /// Batch-at-a-time input drain. Each new group charges its key row plus
+  /// a flat per-accumulator estimate; a governor abort stops the drain with
+  /// the error recorded on the context.
+  void BatchDrain(std::unordered_map<Row, Group, RowHash, RowEq>* groups,
                   std::vector<const Row*>* order) {
     const size_t na = plan_->aggs.size();
     std::vector<std::shared_ptr<const expr::ExprProgram>> progs(na);
@@ -161,7 +144,7 @@ class HashAggregateExec : public AggregateExecBase {
         if (inserted) {
           if (!ctx_->GovernorCharge(
                   1, ModeledRowBytes(it->first) + 48 * na)) {
-            return false;
+            return;
           }
           ChargeMem(ModeledRowBytes(it->first) + 48 * na);
           order->push_back(&it->first);
@@ -177,7 +160,6 @@ class HashAggregateExec : public AggregateExecBase {
         }
       }
     }
-    return true;
   }
 
   std::vector<Row> results_;

@@ -1,5 +1,7 @@
 // Vectorized (batch-at-a-time) implementations of the hot physical
-// operators: table/index scan, filter, projection and hash-join probe.
+// operators: table/index scan, filter, projection and hash join. They are
+// the only implementations of these operators; every execution mode builds
+// them, at the batch capacity the builder sets per executor.
 //
 // Each operator moves RowBatches instead of single Rows, eliminating the
 // per-row virtual Next() call and the per-row std::vector<Value> copy of
@@ -7,17 +9,20 @@
 // projection and join output build compacted column vectors directly.
 //
 // Every batch executor also answers Next() by draining its current batch a
-// row at a time, so row-mode parents (sort, aggregate, nested-loop joins,
-// set operations, ...) consume batch subtrees transparently.
+// row at a time, so row-at-a-time parents (sort, aggregate, nested-loop
+// joins, set operations, ...) consume batch subtrees transparently.
 //
-// ExecStats parity: batch operators increment rows_scanned / rows_joined /
-// index_lookups per row and touch buffer-pool pages in exactly the order
-// the row-mode operators do, so observed counters are identical in both
-// modes (the cost-model validation experiment E17 depends on this). The
-// only shortcut taken is coalescing *immediately adjacent* touches of the
-// same data page during a table scan — a repeat touch of the page at the
-// LRU front is a guaranteed hit and a no-op, so skipping the hash lookup
-// preserves both the hit/miss accounting and the eviction order.
+// ExecStats exactness: operators increment rows_scanned / rows_joined /
+// index_lookups per row and touch buffer-pool pages in row order, and no
+// batch ever holds more than its capacity, so at capacity 1 they do exactly
+// the work a row-at-a-time engine would, and at any capacity the counters
+// match wherever the consumer drains its input (the builder runs every
+// other subtree at capacity 1; the cost-model validation experiment E17
+// depends on this). The only shortcut taken is coalescing *immediately
+// adjacent* touches of the same data page during a table scan — a repeat
+// touch of the page at the LRU front is a guaranteed hit and a no-op, so
+// skipping the hash lookup preserves both the hit/miss accounting and the
+// eviction order.
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -37,7 +42,8 @@ namespace {
 using plan::JoinType;
 
 /// Base for batch-native operators: implements Init()/Next() on top of the
-/// subclass's InitBatch()/NextBatch() so row-mode consumers keep working.
+/// subclass's InitBatch()/NextBatch() so row-at-a-time consumers keep
+/// working.
 class BatchExecutor : public Executor {
  public:
   using Executor::Executor;
@@ -76,10 +82,11 @@ class BatchExecutor : public Executor {
 /// scan (index scans never run morsel-driven).
 class BatchScanExec : public BatchExecutor {
  public:
-  using BatchExecutor::BatchExecutor;
   BatchScanExec(const PhysicalPlan* plan, ExecContext* ctx,
-                MorselSource* morsels)
-      : BatchExecutor(plan, ctx), morsels_(morsels) {}
+                MorselSource* morsels = nullptr)
+      : BatchExecutor(plan, ctx), morsels_(morsels) {
+    SplitPredicate();
+  }
 
   bool NextBatchImpl(RowBatch* out) override {
     if (ctx_->Failed()) return false;
@@ -104,17 +111,16 @@ class BatchScanExec : public BatchExecutor {
       }
     }
     const size_t batch_start = pos_;
-    out->Reset(plan_->output_cols.size(), ctx_->batch_capacity);
+    out->Reset(plan_->output_cols.size(), batch_capacity_);
     double rows = std::max<double>(1.0, static_cast<double>(table_->num_rows()));
     if (!use_ids_) {
       // Sequential scan: touches of the same data page are immediately
       // adjacent, so a repeat touch is a guaranteed LRU-front hit and can
       // skip the pool; stats are bulk-incremented after the loop. Rows
-      // failing the constant-comparison prefilter are never copied —
-      // exactly the rows the row-mode scan rejects before materializing.
+      // failing the constant-comparison prefilter are never copied.
       // Page numbers are monotone in rid, so the page formula runs once
-      // per page run (the exact boundary is found with the same formula
-      // the row-mode scan uses per row), not once per row.
+      // per page run (the exact boundary is found with the same per-row
+      // formula), not once per row.
       double pages = table_->num_pages();
       auto page_of = [&](size_t rid) {
         return static_cast<uint64_t>(static_cast<double>(rid) * pages / rows);
@@ -191,52 +197,9 @@ class BatchScanExec : public BatchExecutor {
     } else {
       ranges_.push_back({0, table_->num_rows()});
     }
-    // Split the scan predicate into `column <op> constant` conjuncts —
-    // checked directly against storage rows before any copy — and a
-    // residual evaluated batch-wise. Scalar comparison semantics are
-    // Value::Compare with NULL rejecting, exactly what FastPass does.
-    fast_preds_.clear();
-    residual_ = plan_->predicate;
-    if (plan_->predicate) {
-      std::vector<plan::BExpr> conjuncts;
-      plan::SplitConjuncts(plan_->predicate, &conjuncts);
-      std::vector<plan::BExpr> rest;
-      for (const plan::BExpr& c : conjuncts) {
-        ColumnId col;
-        ast::BinaryOp op;
-        Value constant;
-        if (plan::MatchColumnConstant(c, &col, &op, &constant) &&
-            !constant.is_null()) {
-          auto it = colmap_.find(col);
-          if (it != colmap_.end()) {
-            FastPred p{static_cast<size_t>(it->second), op,
-                       std::move(constant)};
-            TypeId col_type = plan_->output_cols[p.pos].type;
-            if (col_type == TypeId::kInt64 &&
-                p.constant.type() == TypeId::kInt64) {
-              p.kind = CmpKind::kIntInt;
-              p.iconst = p.constant.AsInt();
-            } else if (IsNumeric(col_type) &&
-                       IsNumeric(p.constant.type())) {
-              p.kind = CmpKind::kNumeric;
-              p.dconst = p.constant.AsNumeric();
-            }
-            fast_preds_.push_back(std::move(p));
-            continue;
-          }
-        }
-        rest.push_back(c);
-      }
-      if (fast_preds_.empty()) {
-        residual_ = plan_->predicate;
-      } else {
-        residual_ =
-            rest.empty() ? nullptr : plan::MakeConjunction(std::move(rest));
-      }
-    }
-    // The FastPred split is deterministic per plan node, so the compiled
-    // residual can be cached on the node and shared by every executor
-    // instance (including morsel-parallel workers).
+    // The split is deterministic per plan node, so the compiled residual
+    // can be cached on the node and shared by every executor instance
+    // (including morsel-parallel workers).
     residual_prog_ = nullptr;
     if (residual_) {
       residual_prog_ = expr::ResolveProgram(
@@ -268,6 +231,48 @@ class BatchScanExec : public BatchExecutor {
   }
 
  private:
+  /// Splits the scan predicate into `column <op> constant` conjuncts —
+  /// checked directly against storage rows before any copy — and a
+  /// residual evaluated batch-wise. Scalar comparison semantics are
+  /// Value::Compare with NULL rejecting, exactly what FastPass does. Depends
+  /// only on the plan node, so it runs once per executor, not per rescan.
+  void SplitPredicate() {
+    residual_ = plan_->predicate;
+    if (!plan_->predicate) return;
+    std::vector<plan::BExpr> conjuncts;
+    plan::SplitConjuncts(plan_->predicate, &conjuncts);
+    std::vector<plan::BExpr> rest;
+    for (const plan::BExpr& c : conjuncts) {
+      ColumnId col;
+      ast::BinaryOp op;
+      Value constant;
+      if (plan::MatchColumnConstant(c, &col, &op, &constant) &&
+          !constant.is_null()) {
+        auto it = colmap_.find(col);
+        if (it != colmap_.end()) {
+          FastPred p{static_cast<size_t>(it->second), op,
+                     std::move(constant)};
+          TypeId col_type = plan_->output_cols[p.pos].type;
+          if (col_type == TypeId::kInt64 &&
+              p.constant.type() == TypeId::kInt64) {
+            p.kind = CmpKind::kIntInt;
+            p.iconst = p.constant.AsInt();
+          } else if (IsNumeric(col_type) && IsNumeric(p.constant.type())) {
+            p.kind = CmpKind::kNumeric;
+            p.dconst = p.constant.AsNumeric();
+          }
+          fast_preds_.push_back(std::move(p));
+          continue;
+        }
+      }
+      rest.push_back(c);
+    }
+    if (!fast_preds_.empty()) {
+      residual_ =
+          rest.empty() ? nullptr : plan::MakeConjunction(std::move(rest));
+    }
+  }
+
   /// How a FastPred's comparison executes. Specialized kinds inline the
   /// relevant branch of Value::Compare (same coercion rules, no dispatch).
   enum class CmpKind { kIntInt, kNumeric, kGeneric };
@@ -453,8 +458,8 @@ class BatchProjectExec : public BatchExecutor {
 };
 
 /// Vectorized hash join: builds on the right input (batch-drained), probes
-/// a whole left batch per NextBatch call. Supports the same join types and
-/// residual-predicate semantics as the row-mode HashJoinExec. In the
+/// left batches, filling output batches up to capacity. Supports inner,
+/// cross, left outer, semi and anti joins with a residual predicate. In the
 /// probe-only variant the build side (a shared JoinBuildState) was
 /// materialized elsewhere — the parallel gather's build phase — and this
 /// executor only probes it.
@@ -463,9 +468,9 @@ class BatchProjectExec : public BatchExecutor {
 /// stays in memory until, with spill armed, its modeled bytes cross the
 /// spill budget. It then turns into a grace hash join — the columns built
 /// so far, the rest of the build input and then the whole probe input are
-/// hash-partitioned into GracePartitions files, as in the row join, and
-/// each partition pair is joined through its own JoinBuildState. Spilled
-/// output is partition-major: a multiset match of the in-memory join.
+/// hash-partitioned into GracePartitions files, and each partition pair is
+/// joined through its own JoinBuildState. Spilled output is
+/// partition-major: a multiset match of the in-memory join.
 class BatchHashJoinExec : public BatchExecutor {
  public:
   BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
@@ -493,12 +498,16 @@ class BatchHashJoinExec : public BatchExecutor {
     bool left_only = plan_->join_type == JoinType::kSemi ||
                      plan_->join_type == JoinType::kAnti;
     out->Reset(left_only ? left_width_ : left_width_ + right_width_,
-               ctx_->batch_capacity);
-    // Probe position persists across calls so output batches stay near
-    // capacity (one probe row's matches may overshoot slightly); emitting
-    // the whole probe batch at once would balloon the output far past its
-    // reservation on high-fanout joins.
+               batch_capacity_);
+    // The probe position and the current probe row's pending matches
+    // persist across calls, so a batch never exceeds its capacity — even
+    // at capacity 1, where a Limit may stop part-way through one key's
+    // matches and rows_joined must count only the rows it took.
     while (!out->full()) {
+      if (match_pos_ < matches_.size()) {
+        AppendCombined(match_prow_, matches_[match_pos_++], out);
+        continue;
+      }
       if (probe_pos_ >= probe_.ActiveSize()) {
         if (!NextProbeBatch()) {
           done_ = true;
@@ -517,6 +526,8 @@ class BatchHashJoinExec : public BatchExecutor {
     left_->Init();
     probe_.Reset(0, 0);
     probe_pos_ = 0;
+    matches_.clear();
+    match_pos_ = 0;
     done_ = false;
     auto lit = left_->colmap().find(plan_->left_key);
     QOPT_DCHECK(lit != left_->colmap().end());
@@ -549,9 +560,9 @@ class BatchHashJoinExec : public BatchExecutor {
     for (std::vector<Value>& col : state_->build_cols) col.reserve(hint);
     // The build side stays columnar: values move straight out of the child
     // batches (each batch is reset on the next NextBatch call), avoiding a
-    // per-row Row materialization of the entire build input. Same modeled
-    // footprint per row as the row-mode build charge; spill-armed, memory
-    // is bounded by the budget, so the governor sees row bookkeeping only.
+    // per-row Row materialization of the entire build input. Each row is
+    // charged the ModeledRowBytes footprint; spill-armed, memory is bounded
+    // by the budget, so the governor sees row bookkeeping only.
     const SpillConfig& sp = ctx_->spill;
     const uint64_t row_bytes = 16 + 24 * right_width_;
     uint64_t buffered = 0;
@@ -630,7 +641,7 @@ class BatchHashJoinExec : public BatchExecutor {
   /// loaded partition. False at the end.
   bool NextProbeBatch() {
     if (!parts_.spilled()) return left_->NextBatch(&probe_);
-    probe_.Reset(left_width_, ctx_->batch_capacity);
+    probe_.Reset(left_width_, batch_capacity_);
     Row row;
     while (!probe_.full()) {
       if (state_ == nullptr) {
@@ -721,19 +732,16 @@ class BatchHashJoinExec : public BatchExecutor {
     }
   }
 
-  /// Emits all join output for one probe row.
+  /// Probes one row: collects its matching build rows into `matches_`
+  /// (emitted by NextBatchImpl as combined rows for inner, cross and
+  /// matched left outer joins) and emits at most one row itself — the
+  /// null-padded row of an unmatched left outer probe, or the left row of
+  /// a semi/anti join.
   void ProbeRow(uint32_t prow, RowBatch* out) {
-    const Value& key = probe_.At(lk_, prow);
-    bool inner = plan_->join_type == JoinType::kInner ||
-                 plan_->join_type == JoinType::kCross;
-    if (inner && !plan_->predicate) {
-      // Hot path: emit matches directly, no intermediate match list.
-      if (key.is_null()) return;
-      state_->ForEachMatch(key,
-                           [&](size_t b) { AppendCombined(prow, b, out); });
-      return;
-    }
     matches_.clear();
+    match_pos_ = 0;
+    match_prow_ = prow;
+    const Value& key = probe_.At(lk_, prow);
     if (!key.is_null()) {
       if (plan_->predicate && residual_prog_ != nullptr) {
         // Vectorized residual: gather the candidate matches into a scratch
@@ -752,20 +760,16 @@ class BatchHashJoinExec : public BatchExecutor {
     switch (plan_->join_type) {
       case JoinType::kInner:
       case JoinType::kCross:
-        for (size_t m : matches_) AppendCombined(prow, m, out);
         break;
       case JoinType::kLeftOuter:
-        if (matches_.empty()) {
-          AppendNullPadded(prow, out);
-        } else {
-          for (size_t m : matches_) AppendCombined(prow, m, out);
-        }
+        if (matches_.empty()) AppendNullPadded(prow, out);
         break;
       case JoinType::kSemi:
-        if (!matches_.empty()) AppendLeft(prow, out);
-        break;
       case JoinType::kAnti:
-        if (matches_.empty()) AppendLeft(prow, out);
+        if (matches_.empty() == (plan_->join_type == JoinType::kAnti)) {
+          AppendLeft(prow, out);
+        }
+        matches_.clear();
         break;
     }
   }
@@ -852,7 +856,11 @@ class BatchHashJoinExec : public BatchExecutor {
   size_t left_width_ = 0;
   size_t right_width_ = 0;
   ColMap combined_map_;
+  /// Matching build rows of probe row `match_prow_`; the first
+  /// `match_pos_` are already emitted.
   std::vector<size_t> matches_;
+  size_t match_pos_ = 0;
+  uint32_t match_prow_ = 0;
   int lk_ = 0;
   RowBatch probe_;
   size_t probe_pos_ = 0;

@@ -9,7 +9,7 @@ namespace qopt::exec {
 // every row twice.
 bool Executor::NextBatchImpl(RowBatch* out) {
   QOPT_FAULT_POINT_CTX("exec.batch.alloc", ctx_, false);
-  out->Reset(plan_->output_cols.size(), ctx_->batch_capacity);
+  out->Reset(plan_->output_cols.size(), batch_capacity_);
   Row r;
   while (!out->full() && NextImpl(&r)) out->AppendRow(std::move(r));
   return out->num_rows() > 0 && !ctx_->Failed();
@@ -31,6 +31,24 @@ bool BatchSupported(PhysOpKind kind) {
   }
 }
 
+// Capacity-1 rule. A full batch reads ahead of its consumer, which is
+// invisible to results but NOT to ExecStats when (a) the consumer can stop
+// early without draining the input, or (b) another operator's page touches
+// interleave with the subtree's own (read-ahead would reorder the shared
+// LRU buffer pool's access sequence). Every operator below the following
+// therefore runs at batch capacity 1, and no parallel region starts there:
+//   - Apply: tuple-iteration semantics — the inner subtree is rebound and
+//     re-executed per outer row and short-circuits on semi/anti matches,
+//     and its page touches interleave with the outer scan's.
+//   - IndexNestedLoopJoin: the right child is consumed as an index, and
+//     per-outer-row probe touches interleave with the outer stream.
+//   - Limit: early termination must not over-read the input.
+bool ChildrenRunAtCapacityOne(PhysOpKind kind) {
+  return kind == PhysOpKind::kApply ||
+         kind == PhysOpKind::kIndexNestedLoopJoin ||
+         kind == PhysOpKind::kLimit;
+}
+
 /// A node is a parallel region root when it is eligible itself (see
 /// internal::ParallelEligible) or is a hash aggregate directly over an
 /// eligible pipeline — partial aggregation with a merge at the gather
@@ -43,128 +61,92 @@ bool IsParallelRegionRoot(const PhysicalPlan& plan) {
          internal::ParallelEligible(*plan.children[0]);
 }
 
-/// Collects maximal parallel-eligible subtree roots top-down, under the
-/// same row-mode fallback rules as CollectBatchNodes (no parallel region
-/// beneath Apply, index nested-loops, or Limit). Does not descend into a
-/// region: everything below the root belongs to the gather.
+/// Collects maximal parallel-eligible subtree roots top-down, outside the
+/// capacity-1 subtrees. Does not descend into a region: everything below
+/// the root belongs to the gather.
 void CollectParallelRoots(const PhysPtr& plan, bool allow,
                           std::unordered_set<const PhysicalPlan*>* out) {
   if (allow && IsParallelRegionRoot(*plan)) {
     out->insert(plan.get());
     return;
   }
-  bool child_allow = allow;
-  switch (plan->kind) {
-    case PhysOpKind::kApply:
-    case PhysOpKind::kIndexNestedLoopJoin:
-    case PhysOpKind::kLimit:
-      child_allow = false;
-      break;
-    default:
-      break;
-  }
+  bool child_allow = allow && !ChildrenRunAtCapacityOne(plan->kind);
   for (const PhysPtr& c : plan->children) {
     CollectParallelRoots(c, child_allow, out);
   }
 }
 
-// Row-mode fallback rules. Batch operators read ahead up to a full batch,
-// which is invisible to results but NOT to ExecStats when (a) the consumer
-// can stop early without draining the input, or (b) another operator's
-// page touches interleave with the subtree's own (read-ahead would reorder
-// the shared LRU buffer pool's access sequence). Subtrees rooted under the
-// following therefore run row-at-a-time:
-//   - Apply: tuple-iteration semantics — the inner subtree is rebound and
-//     re-executed per outer row and short-circuits on semi/anti matches,
-//     and its page touches interleave with the outer scan's.
-//   - IndexNestedLoopJoin: the right child is consumed as an index, and
-//     per-outer-row probe touches interleave with the outer stream.
-//   - Limit: early termination must not over-read the input.
 void CollectBatchNodes(const PhysPtr& plan, bool allow,
                        std::unordered_set<const PhysicalPlan*>* out) {
   if (allow && BatchSupported(plan->kind)) out->insert(plan.get());
-  bool child_allow = allow;
-  switch (plan->kind) {
-    case PhysOpKind::kApply:
-    case PhysOpKind::kIndexNestedLoopJoin:
-    case PhysOpKind::kLimit:
-      child_allow = false;
-      break;
-    default:
-      break;
-  }
+  bool child_allow = allow && !ChildrenRunAtCapacityOne(plan->kind);
   for (const PhysPtr& c : plan->children) {
     CollectBatchNodes(c, child_allow, out);
   }
 }
 
+/// Builds the executor for `plan`'s own operator, its children through
+/// Build (at capacity 1 below Apply, index nested-loops and Limit).
+std::unique_ptr<Executor> BuildNode(
+    const PhysPtr& plan, ExecContext* ctx, bool full,
+    const std::unordered_set<const PhysicalPlan*>& parallel_roots);
+
+/// Builds `plan` at batch capacity ctx->batch_capacity when `full`, else 1.
 std::unique_ptr<Executor> Build(
-    const PhysPtr& plan, ExecContext* ctx,
-    const std::unordered_set<const PhysicalPlan*>& batch_nodes,
+    const PhysPtr& plan, ExecContext* ctx, bool full,
+    const std::unordered_set<const PhysicalPlan*>& parallel_roots) {
+  std::unique_ptr<Executor> exec = BuildNode(plan, ctx, full, parallel_roots);
+  exec->set_batch_capacity(full ? ctx->batch_capacity : 1);
+  return exec;
+}
+
+std::unique_ptr<Executor> BuildNode(
+    const PhysPtr& plan, ExecContext* ctx, bool full,
     const std::unordered_set<const PhysicalPlan*>& parallel_roots) {
   using namespace internal;
 
   if (parallel_roots.count(plan.get()) > 0) {
     return NewParallelGatherExec(plan, ctx);
   }
-  bool batch = batch_nodes.count(plan.get()) > 0;
+  const bool child_full = full && !ChildrenRunAtCapacityOne(plan->kind);
+  auto child = [&](size_t i) {
+    return Build(plan->children[i], ctx, child_full, parallel_roots);
+  };
   switch (plan->kind) {
     case PhysOpKind::kTableScan:
     case PhysOpKind::kIndexScan:
-      return batch ? NewBatchScanExec(plan.get(), ctx)
-                   : NewScanExec(plan.get(), ctx);
-    case PhysOpKind::kFilter: {
-      auto child = Build(plan->children[0], ctx, batch_nodes, parallel_roots);
-      return batch ? NewBatchFilterExec(plan.get(), ctx, std::move(child))
-                   : NewFilterExec(plan.get(), ctx, std::move(child));
-    }
-    case PhysOpKind::kProject: {
-      auto child = Build(plan->children[0], ctx, batch_nodes, parallel_roots);
-      return batch ? NewBatchProjectExec(plan.get(), ctx, std::move(child))
-                   : NewProjectExec(plan.get(), ctx, std::move(child));
-    }
+      return NewBatchScanExec(plan.get(), ctx);
+    case PhysOpKind::kFilter:
+      return NewBatchFilterExec(plan.get(), ctx, child(0));
+    case PhysOpKind::kProject:
+      return NewBatchProjectExec(plan.get(), ctx, child(0));
     case PhysOpKind::kSort:
-      return NewSortExec(plan.get(), ctx,
-                         Build(plan->children[0], ctx, batch_nodes, parallel_roots));
+      return NewSortExec(plan.get(), ctx, child(0));
     case PhysOpKind::kDistinct:
-      return NewDistinctExec(plan.get(), ctx,
-                             Build(plan->children[0], ctx, batch_nodes, parallel_roots));
+      return NewDistinctExec(plan.get(), ctx, child(0));
     case PhysOpKind::kLimit:
-      return NewLimitExec(plan.get(), ctx,
-                          Build(plan->children[0], ctx, batch_nodes, parallel_roots));
+      return NewLimitExec(plan.get(), ctx, child(0));
     case PhysOpKind::kHashJoin:
-      if (batch) {
-        return NewBatchHashJoinExec(plan.get(), ctx,
-                                    Build(plan->children[0], ctx, batch_nodes, parallel_roots),
-                                    Build(plan->children[1], ctx, batch_nodes, parallel_roots));
-      }
-      [[fallthrough]];
+      return NewBatchHashJoinExec(plan.get(), ctx, child(0), child(1));
     case PhysOpKind::kNestedLoopJoin:
     case PhysOpKind::kIndexNestedLoopJoin:
     case PhysOpKind::kMergeJoin:
-      return NewJoinExec(plan.get(), ctx,
-                         Build(plan->children[0], ctx, batch_nodes, parallel_roots),
-                         Build(plan->children[1], ctx, batch_nodes, parallel_roots));
+      return NewJoinExec(plan.get(), ctx, child(0), child(1));
     case PhysOpKind::kApply:
-      return NewApplyExec(plan.get(), ctx,
-                          Build(plan->children[0], ctx, batch_nodes, parallel_roots),
-                          Build(plan->children[1], ctx, batch_nodes, parallel_roots));
+      return NewApplyExec(plan.get(), ctx, child(0), child(1));
     case PhysOpKind::kHashAggregate:
     case PhysOpKind::kStreamAggregate:
-      return NewAggregateExec(plan.get(), ctx,
-                              Build(plan->children[0], ctx, batch_nodes, parallel_roots));
+      return NewAggregateExec(plan.get(), ctx, child(0));
     case PhysOpKind::kUnionAll: {
       std::vector<std::unique_ptr<Executor>> children;
-      for (const PhysPtr& c : plan->children) {
-        children.push_back(Build(c, ctx, batch_nodes, parallel_roots));
+      for (size_t i = 0; i < plan->children.size(); ++i) {
+        children.push_back(child(i));
       }
       return NewUnionAllExec(plan.get(), ctx, std::move(children));
     }
     case PhysOpKind::kHashExcept:
     case PhysOpKind::kHashIntersect:
-      return NewHashSetOpExec(plan.get(), ctx,
-                              Build(plan->children[0], ctx, batch_nodes, parallel_roots),
-                              Build(plan->children[1], ctx, batch_nodes, parallel_roots));
+      return NewHashSetOpExec(plan.get(), ctx, child(0), child(1));
   }
   QOPT_DCHECK(false);
   return nullptr;
@@ -187,20 +169,19 @@ std::unordered_set<const PhysicalPlan*> ParallelRegionRoots(
 
 std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan,
                                         ExecContext* ctx) {
-  std::unordered_set<const PhysicalPlan*> batch_nodes;
   std::unordered_set<const PhysicalPlan*> parallel_roots;
-  if (ctx->mode != ExecMode::kRow) batch_nodes = BatchModeNodes(plan);
-  if (ctx->mode == ExecMode::kParallel) {
+  if (ctx->mode == ExecMode::kParallel && ctx->dop > 1) {
     parallel_roots = ParallelRegionRoots(plan);
   }
-  return Build(plan, ctx, batch_nodes, parallel_roots);
+  return Build(plan, ctx, /*full=*/ctx->mode != ExecMode::kRow,
+               parallel_roots);
 }
 
 namespace internal {
 
 std::unique_ptr<Executor> BuildBatchTree(const PhysPtr& plan,
                                          ExecContext* ctx) {
-  return Build(plan, ctx, BatchModeNodes(plan), {});
+  return Build(plan, ctx, /*full=*/true, {});
 }
 
 }  // namespace internal
@@ -215,23 +196,16 @@ Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx) {
   exec->Init();
   std::vector<Row> rows;
   if (ctx->Failed()) return ctx->status;
-  if (ctx->mode != ExecMode::kRow) {
-    RowBatch batch;
-    while (exec->NextBatch(&batch)) {
-      size_t n = batch.ActiveSize();
-      if (!ctx->GovernorCharge(n, n * (16 + 24 * plan->output_cols.size()))) {
-        break;
-      }
-      for (size_t k = 0; k < n; ++k) {
-        Row r;
-        batch.StealActive(k, &r);
-        rows.push_back(std::move(r));
-      }
+  RowBatch batch;
+  while (exec->NextBatch(&batch)) {
+    size_t n = batch.ActiveSize();
+    if (n == 0) continue;
+    if (!ctx->GovernorCharge(n, n * (16 + 24 * plan->output_cols.size()))) {
+      break;
     }
-  } else {
-    Row r;
-    while (exec->Next(&r)) {
-      if (!ctx->GovernorCharge(1, ModeledRowBytes(r))) break;
+    for (size_t k = 0; k < n; ++k) {
+      Row r;
+      batch.StealActive(k, &r);
       rows.push_back(std::move(r));
     }
   }

@@ -2,151 +2,10 @@
 #include <unordered_set>
 
 #include "exec/executors_internal.h"
-#include "testing/fault_injection.h"
 
 namespace qopt::exec::internal {
 
 namespace {
-
-/// Sequential or index-range scan over a base table with an optional
-/// residual filter.
-class ScanExec : public Executor {
- public:
-  ScanExec(const PhysicalPlan* plan, ExecContext* ctx) : Executor(plan, ctx) {}
-
-  void InitImpl() override {
-    QOPT_FAULT_POINT_CTX("storage.scan.open", ctx_, );
-    table_ = ctx_->storage->GetTable(plan_->table_id);
-    QOPT_DCHECK(table_ != nullptr);
-    pos_ = 0;
-    if (plan_->kind == PhysOpKind::kIndexScan) {
-      QOPT_FAULT_POINT_CTX("storage.index.lookup", ctx_, );
-      const SortedIndex* index =
-          ctx_->storage->GetSortedIndex(plan_->index_id);
-      QOPT_DCHECK(index != nullptr);
-      std::optional<IndexBound> lo, hi;
-      if (plan_->lo.has_value()) {
-        lo = IndexBound{plan_->lo->value, plan_->lo->inclusive};
-      }
-      if (plan_->hi.has_value()) {
-        hi = IndexBound{plan_->hi->value, plan_->hi->inclusive};
-      }
-      row_ids_ = index->RangeScan(lo, hi);
-      use_ids_ = true;
-      // Root/inner B-tree path pages.
-      for (double level = 0; level < index->tree_height(); ++level) {
-        ctx_->TouchPage(BufferPoolSim::IndexPage(
-            plan_->index_id, static_cast<uint64_t>(level)));
-      }
-    } else {
-      use_ids_ = false;
-      // Sequential scan covers the surviving partitions' contiguous row
-      // ranges (all rows when unpartitioned or the plan did not prune).
-      ranges_.clear();
-      if (plan_->total_partitions > 0 &&
-          plan_->total_partitions == table_->num_partitions()) {
-        for (int p : plan_->partitions) {
-          auto [begin, end] = table_->PartitionRange(p);
-          if (begin < end) ranges_.emplace_back(begin, end);
-        }
-      } else {
-        ranges_.emplace_back(0, table_->num_rows());
-      }
-      range_idx_ = 0;
-      pos_ = ranges_.empty() ? 0 : ranges_[0].first;
-    }
-  }
-
-  bool NextImpl(Row* out) override {
-    // An injected Init fault leaves table_ unset; a tripped deadline must
-    // end the stream rather than keep scanning.
-    if (ctx_->Failed()) return false;
-    double rows = std::max<double>(1.0, static_cast<double>(table_->num_rows()));
-    while (true) {
-      uint32_t rid;
-      if (use_ids_) {
-        if (pos_ >= row_ids_.size()) return false;
-        rid = row_ids_[pos_];
-      } else {
-        while (range_idx_ < ranges_.size() &&
-               pos_ >= ranges_[range_idx_].second) {
-          ++range_idx_;
-          if (range_idx_ < ranges_.size()) pos_ = ranges_[range_idx_].first;
-        }
-        if (range_idx_ >= ranges_.size()) return false;
-        rid = static_cast<uint32_t>(pos_);
-      }
-      if (!ctx_->GovernorTick()) return false;
-      const Row& row = table_->row(rid);
-      if (use_ids_) {
-        // Leaf page along the scan, then the row's data page.
-        ctx_->TouchPage(BufferPoolSim::IndexPage(
-            plan_->index_id, 1000 + pos_ / 256));
-      }
-      uint64_t data_page = static_cast<uint64_t>(
-          static_cast<double>(rid) * table_->num_pages() / rows);
-      ctx_->TouchPage(BufferPoolSim::DataPage(plan_->table_id, data_page));
-      ++pos_;
-      ++ctx_->stats.rows_scanned;
-      if (!plan_->predicate || EvalPredicate(plan_->predicate, MakeEval(row))) {
-        *out = row;
-        return true;
-      }
-    }
-  }
-
- private:
-  const Table* table_ = nullptr;
-  std::vector<uint32_t> row_ids_;
-  /// Row ranges of the sequential scan (one per surviving partition).
-  std::vector<std::pair<size_t, size_t>> ranges_;
-  size_t range_idx_ = 0;
-  bool use_ids_ = false;
-  size_t pos_ = 0;
-};
-
-class FilterExec : public Executor {
- public:
-  FilterExec(const PhysicalPlan* plan, ExecContext* ctx,
-             std::unique_ptr<Executor> child)
-      : Executor(plan, ctx), child_(std::move(child)) {}
-
-  void InitImpl() override { child_->Init(); }
-
-  bool NextImpl(Row* out) override {
-    while (child_->Next(out)) {
-      if (EvalPredicate(plan_->predicate, MakeEval(*out))) return true;
-    }
-    return false;
-  }
-
- private:
-  std::unique_ptr<Executor> child_;
-};
-
-class ProjectExec : public Executor {
- public:
-  ProjectExec(const PhysicalPlan* plan, ExecContext* ctx,
-              std::unique_ptr<Executor> child)
-      : Executor(plan, ctx), child_(std::move(child)) {}
-
-  void InitImpl() override { child_->Init(); }
-
-  bool NextImpl(Row* out) override {
-    Row in;
-    if (!child_->Next(&in)) return false;
-    EvalContext ev{&child_->colmap(), &in, &ctx_->params};
-    out->clear();
-    out->reserve(plan_->proj_exprs.size());
-    for (const plan::BExpr& e : plan_->proj_exprs) {
-      out->push_back(EvalExpr(*e, ev));
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<Executor> child_;
-};
 
 /// Sort with graceful degradation: fully in-memory while the input fits,
 /// external merge sort once the spill policy is armed and the buffer
@@ -495,23 +354,6 @@ class LimitExec : public Executor {
 };
 
 }  // namespace
-
-std::unique_ptr<Executor> NewScanExec(const PhysicalPlan* plan,
-                                      ExecContext* ctx) {
-  return std::make_unique<ScanExec>(plan, ctx);
-}
-
-std::unique_ptr<Executor> NewFilterExec(const PhysicalPlan* plan,
-                                        ExecContext* ctx,
-                                        std::unique_ptr<Executor> child) {
-  return std::make_unique<FilterExec>(plan, ctx, std::move(child));
-}
-
-std::unique_ptr<Executor> NewProjectExec(const PhysicalPlan* plan,
-                                         ExecContext* ctx,
-                                         std::unique_ptr<Executor> child) {
-  return std::make_unique<ProjectExec>(plan, ctx, std::move(child));
-}
 
 std::unique_ptr<Executor> NewSortExec(const PhysicalPlan* plan,
                                       ExecContext* ctx,

@@ -8,10 +8,12 @@
 // tuple-iteration semantics of §4.2.2).
 //
 // Every executor additionally supports NextBatch(): the default adapter
-// loops Next(), while the hot operators (scan, filter, project, hash-join
-// probe) have native column-at-a-time implementations selected by the
-// builder when ExecContext::mode is ExecMode::kBatch. Both modes produce
-// identical results and identical ExecStats.
+// loops Next(), while the hot operators (scan, filter, project, hash join)
+// exist only as column-at-a-time implementations. Each executor carries a
+// batch capacity set by the builder: the context's capacity, or 1 in the
+// subtrees that must not read ahead of their consumer (see ExecMode). At
+// capacity 1 the vectorized operators run row-at-a-time, so every mode
+// produces identical results and identical ExecStats.
 #ifndef QOPT_EXEC_EXECUTORS_H_
 #define QOPT_EXEC_EXECUTORS_H_
 
@@ -36,14 +38,17 @@ class ThreadPool;
 
 namespace qopt::exec {
 
-/// Execution mode for an executor tree. kBatch builds vectorized operators
-/// where profitable and falls back to row-at-a-time operators for subtrees
-/// that need tuple-iteration semantics (Apply, index nested-loops) or can
-/// terminate early (Limit), so that observed ExecStats stay exact.
-/// kParallel additionally runs maximal eligible subtrees (table scans,
-/// filters, projections, hash joins, a root hash aggregate) morsel-parallel
-/// across `ExecContext::dop` workers, gathering at the subtree root; the
-/// rest of the plan runs exactly as kBatch.
+/// Execution mode for an executor tree. All modes build the same operators;
+/// they differ in batch capacity and parallelism. kBatch runs at
+/// `ExecContext::batch_capacity`, except that the subtrees below Apply
+/// (tuple iteration), index nested-loops (per-outer-row probes) and Limit
+/// (early termination) run at capacity 1, so no operator reads ahead of its
+/// consumer and observed ExecStats stay exact. kRow runs every operator at
+/// capacity 1 (the row-at-a-time baseline). kParallel with dop > 1
+/// additionally runs maximal eligible subtrees (table scans, filters,
+/// projections, hash joins, a root hash aggregate) morsel-parallel across
+/// `ExecContext::dop` workers, gathering at the subtree root; the rest of
+/// the plan, and the whole plan at dop 1, runs exactly as kBatch.
 enum class ExecMode { kRow, kBatch, kParallel };
 
 /// Observed execution counters, used to validate the cost model (E17).
@@ -167,11 +172,12 @@ struct ExecContext {
   BufferPoolSim buffer_pool;
   /// Executor-tree construction mode (see ExecMode).
   ExecMode mode = ExecMode::kRow;
-  /// Rows per RowBatch on the vectorized path.
+  /// Rows per RowBatch for the executors that run at full capacity (see
+  /// ExecMode); the builder gives every other executor capacity 1.
   size_t batch_capacity = kDefaultBatchCapacity;
   /// Degree of parallelism under ExecMode::kParallel: number of workers
-  /// per parallel region (clamped to ThreadPool::kMaxThreads). dop=1 runs
-  /// the full parallel machinery on the calling thread.
+  /// per parallel region (clamped to ThreadPool::kMaxThreads). dop=1 builds
+  /// the serial kBatch tree, with no gather.
   size_t dop = 1;
   /// Worker threads for parallel regions; null runs all workers on the
   /// calling thread (still morsel-partitioned — useful for tests).
@@ -190,7 +196,7 @@ struct ExecContext {
   /// is one predictable branch per Init/Next/NextBatch dispatch.
   bool analyze = false;
   OperatorStatsMap op_stats;
-  /// Compile expressions to vectorized programs on the batch/parallel path
+  /// Compile expressions to vectorized programs, in every mode
   /// (QueryOptions::compile_expressions). Off forces the interpreter
   /// everywhere, which is the parity oracle.
   bool compile_expressions = true;
@@ -271,7 +277,7 @@ inline uint64_t ModeledRowBytes(const Row& row) {
 class Executor {
  public:
   Executor(const PhysicalPlan* plan, ExecContext* ctx)
-      : plan_(plan), ctx_(ctx) {
+      : plan_(plan), ctx_(ctx), batch_capacity_(ctx->batch_capacity) {
     for (size_t i = 0; i < plan->output_cols.size(); ++i) {
       colmap_[plan->output_cols[i].id] = static_cast<int>(i);
     }
@@ -332,6 +338,11 @@ class Executor {
 
   const PhysicalPlan& plan() const { return *plan_; }
   const ColMap& colmap() const { return colmap_; }
+
+  /// Sets the most rows one NextBatch() call returns; `ctx->batch_capacity`
+  /// unless the builder lowers it (to 1 where read-ahead would show in
+  /// ExecStats).
+  void set_batch_capacity(size_t capacity) { batch_capacity_ = capacity; }
 
  protected:
   virtual void InitImpl() = 0;
@@ -401,6 +412,7 @@ class Executor {
   const PhysicalPlan* plan_;
   ExecContext* ctx_;
   ColMap colmap_;
+  size_t batch_capacity_;
 
  private:
   OperatorStats* ostats_ = nullptr;  ///< Set by Init when analyze is on.
@@ -411,21 +423,23 @@ class Executor {
 std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan, ExecContext* ctx);
 
 /// Runs `plan` to completion and returns all rows, or the error recorded on
-/// `ctx` (cancellation, budget exhaustion, injected faults). In batch mode
-/// the root is driven batch-at-a-time and the result rows materialized per
-/// batch.
+/// `ctx` (cancellation, budget exhaustion, injected faults). The root is
+/// driven batch-at-a-time in every mode and the result rows materialized
+/// per batch.
 Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx);
 
-/// The set of plan nodes that run vectorized under ExecMode::kBatch
-/// (mirrors the builder's mode-selection rules; used by EXPLAIN). Spill
-/// never changes the set: a vectorized hash join decides at run time, when
-/// its build crosses the spill budget, to go grace (DESIGN.md §3.13).
+/// The vectorized operators (scan, filter, project, hash join) that run at
+/// full batch capacity under ExecMode::kBatch (mirrors the builder's
+/// capacity rules; used by EXPLAIN's [batch] markers). Spill never changes
+/// the set: a hash join decides at run time, when its build crosses the
+/// spill budget, to go grace (DESIGN.md §3.13).
 std::unordered_set<const PhysicalPlan*> BatchModeNodes(const PhysPtr& plan);
 
 /// The roots of the maximal subtrees that run morsel-parallel under
-/// ExecMode::kParallel (mirrors the builder's region-selection rules; used
-/// by EXPLAIN). Spill-independent, as BatchModeNodes: a region whose build
-/// phase crosses the spill budget reruns on the serial batch tree.
+/// ExecMode::kParallel at dop > 1 (mirrors the builder's region-selection
+/// rules; used by EXPLAIN). Spill-independent, as BatchModeNodes: a region
+/// whose build phase crosses the spill budget reruns on the serial batch
+/// tree.
 std::unordered_set<const PhysicalPlan*> ParallelRegionRoots(
     const PhysPtr& plan);
 

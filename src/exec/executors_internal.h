@@ -20,14 +20,6 @@ inline size_t ReserveHint(double est_rows, size_t cap = 1u << 20) {
   return std::min(cap, static_cast<size_t>(est_rows));
 }
 
-std::unique_ptr<Executor> NewScanExec(const PhysicalPlan* plan,
-                                      ExecContext* ctx);
-std::unique_ptr<Executor> NewFilterExec(const PhysicalPlan* plan,
-                                        ExecContext* ctx,
-                                        std::unique_ptr<Executor> child);
-std::unique_ptr<Executor> NewProjectExec(const PhysicalPlan* plan,
-                                         ExecContext* ctx,
-                                         std::unique_ptr<Executor> child);
 std::unique_ptr<Executor> NewSortExec(const PhysicalPlan* plan,
                                       ExecContext* ctx,
                                       std::unique_ptr<Executor> child);
@@ -56,7 +48,9 @@ std::unique_ptr<Executor> NewHashSetOpExec(const PhysicalPlan* plan,
                                            std::unique_ptr<Executor> left,
                                            std::unique_ptr<Executor> right);
 
-// Vectorized (batch-native) implementations; see batch_executors.cc.
+// Vectorized (batch-native) implementations; see batch_executors.cc. The
+// only implementations of scan, filter, projection and hash join: the
+// builder runs them at batch capacity 1 where read-ahead must not happen.
 std::unique_ptr<Executor> NewBatchScanExec(const PhysicalPlan* plan,
                                            ExecContext* ctx);
 std::unique_ptr<Executor> NewBatchFilterExec(const PhysicalPlan* plan,

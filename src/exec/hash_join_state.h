@@ -37,8 +37,8 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
-/// The partition files of a spilled (grace) hash join, shared by the row
-/// and batch hash joins: one build and one probe file per partition.
+/// The partition files of a spilled (grace) hash join: one build and one
+/// probe file per partition.
 struct GracePartitions {
   using Files = std::vector<std::unique_ptr<SpillFile>>;
   Files build;

@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "exec/executors_internal.h"
-#include "exec/hash_join_state.h"
 #include "testing/fault_injection.h"
 
 namespace qopt::exec::internal {
@@ -268,180 +266,6 @@ class MergeJoinExec : public JoinExecBase {
   size_t li_ = 0, rj_ = 0;
 };
 
-/// Hash join: builds on the right input, probes with the left, so left
-/// outer/semi/anti joins preserve the left side naturally. The build runs
-/// in memory; when spill is armed and the buffered build side crosses the
-/// spill budget, both inputs are hash-partitioned to disk and each
-/// partition pair is joined in memory independently (grace hash join;
-/// single level, no recursive repartitioning). Spilled output order is
-/// partition-major, a documented difference from the in-memory probe
-/// order — results are multiset-identical.
-class HashJoinExec : public JoinExecBase {
- public:
-  using JoinExecBase::JoinExecBase;
-
-  void InitImpl() override {
-    left_->Init();
-    right_->Init();
-    table_.clear();
-    build_rows_.clear();
-    parts_.Clear();
-    next_part_ = 0;
-    have_partition_ = false;
-    mem_charged_ = 0;
-    out_buffer_.clear();
-    buffer_pos_ = 0;
-    auto rit = right_->colmap().find(plan_->right_key);
-    auto lit = left_->colmap().find(plan_->left_key);
-    QOPT_DCHECK(rit != right_->colmap().end());
-    QOPT_DCHECK(lit != left_->colmap().end());
-    rk_ = static_cast<size_t>(rit->second);
-    lk_ = static_cast<size_t>(lit->second);
-    const SpillConfig& sp = ctx_->spill;
-    build_rows_.reserve(ReserveHint(plan_->children[1]->est_rows));
-    uint64_t buffered = 0;
-    Row r;
-    while (right_->Next(&r)) {
-      if (r[rk_].is_null()) continue;  // never matches
-      uint64_t rb = ModeledRowBytes(r);
-      // Spill-armed, memory is bounded by construction (the spill budget):
-      // charge only the governor's row budget/deadline.
-      if (!ctx_->GovernorCharge(1, sp.armed ? 0 : rb)) break;
-      if (parts_.spilled()) {
-        if (!ctx_->Check(GracePartitions::Append(parts_.build, r, rk_))) {
-          break;
-        }
-        continue;
-      }
-      buffered += rb;
-      build_rows_.push_back(std::move(r));
-      if (sp.armed && buffered > sp.budget_bytes && build_rows_.size() > 1 &&
-          !BeginSpill()) {
-        break;
-      }
-    }
-    if (ctx_->Failed()) return;
-    if (!parts_.spilled()) {
-      ChargeMem(buffered);
-      BuildTable();
-      return;
-    }
-    // Seal the build partitions, then partition the ENTIRE probe side.
-    if (!SealSpillFiles(parts_.build)) return;
-    Row l;
-    while (left_->Next(&l)) {
-      if (!ctx_->Check(GracePartitions::Append(parts_.probe, l, lk_))) return;
-    }
-    if (ctx_->Failed()) return;
-    SealSpillFiles(parts_.probe);
-  }
-
-  bool NextImpl(Row* out) override {
-    for (;;) {
-      if (DrainBuffer(out)) return true;
-      if (ctx_->Failed()) return false;
-      if (!parts_.spilled()) {
-        Row l;
-        if (!left_->Next(&l)) return false;
-        Probe(l);
-        continue;
-      }
-      if (!have_partition_) {
-        if (next_part_ >= parts_.build.size()) return false;
-        if (!LoadPartition(next_part_)) return false;
-        ++next_part_;
-        have_partition_ = true;
-      }
-      Row l;
-      auto more = parts_.probe[next_part_ - 1]->ReadNext(&l);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
-      if (!more.value()) {
-        have_partition_ = false;
-        continue;
-      }
-      if (!ctx_->GovernorTick()) return false;
-      Probe(l);
-    }
-  }
-
- private:
-  void BuildTable() {
-    table_.reserve(build_rows_.size());
-    for (size_t i = 0; i < build_rows_.size(); ++i) {
-      table_.emplace(build_rows_[i][rk_], i);
-    }
-  }
-
-  void Probe(const Row& l) {
-    std::vector<const Row*> matches;
-    const Value& key = l[lk_];
-    if (!key.is_null()) {
-      auto [begin, end] = table_.equal_range(key);
-      for (auto it = begin; it != end; ++it) {
-        const Row& r = build_rows_[it->second];
-        if (!plan_->predicate ||
-            EvalJoinPred(plan_->predicate, Combine(l, r))) {
-          matches.push_back(&r);
-        }
-      }
-    }
-    EmitForLeftRow(l, matches);
-  }
-
-  /// Opens the partition files and flushes the buffered build rows.
-  bool BeginSpill() {
-    if (!ctx_->Check(
-            parts_.Open(ctx_->spill.partitions, ctx_->spill.dir))) {
-      return false;
-    }
-    for (const Row& r : build_rows_) {
-      if (!ctx_->Check(GracePartitions::Append(parts_.build, r, rk_))) {
-        return false;
-      }
-    }
-    build_rows_.clear();
-    return true;
-  }
-
-  /// Reads build partition `p` into the in-memory hash table and rewinds
-  /// its probe file.
-  bool LoadPartition(size_t p) {
-    build_rows_.clear();
-    table_.clear();
-    if (!ctx_->Check(parts_.build[p]->Rewind())) return false;
-    uint64_t bytes = 0;
-    Row r;
-    for (;;) {
-      auto more = parts_.build[p]->ReadNext(&r);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
-      if (!more.value()) break;
-      bytes += ModeledRowBytes(r);
-      build_rows_.push_back(std::move(r));
-    }
-    // One partition is resident at a time: the peak is the largest one.
-    if (bytes > mem_charged_) {
-      ChargeMem(bytes - mem_charged_);
-      mem_charged_ = bytes;
-    }
-    BuildTable();
-    return ctx_->Check(parts_.probe[p]->Rewind());
-  }
-
-  std::unordered_multimap<Value, size_t, ValueHash> table_;
-  std::vector<Row> build_rows_;
-  GracePartitions parts_;  ///< Empty until the build crosses the budget.
-  size_t next_part_ = 0;
-  bool have_partition_ = false;
-  uint64_t mem_charged_ = 0;  ///< Largest partition charged via ChargeMem.
-  size_t lk_ = 0, rk_ = 0;
-};
-
 /// Tuple-iteration correlated subquery: for each outer row, binds the
 /// correlated parameters and re-executes the inner subtree (§4.2.2's
 /// unoptimized nested execution — the baseline the unnesting rules beat).
@@ -523,9 +347,6 @@ std::unique_ptr<Executor> NewJoinExec(const PhysicalPlan* plan,
     case PhysOpKind::kMergeJoin:
       return std::make_unique<MergeJoinExec>(plan, ctx, std::move(left),
                                              std::move(right));
-    case PhysOpKind::kHashJoin:
-      return std::make_unique<HashJoinExec>(plan, ctx, std::move(left),
-                                            std::move(right));
     default:
       QOPT_DCHECK(false);
       return nullptr;

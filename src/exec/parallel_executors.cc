@@ -314,8 +314,8 @@ class ParallelGatherExec : public Executor {
   }
 
   /// Appends `batch`'s live rows with non-NULL keys to columnar `cols`,
-  /// charging the governor per row (the row-mode build's formula; row
-  /// bookkeeping only when spill-armed, as in the serial batch join).
+  /// charging the governor ModeledRowBytes per row (row bookkeeping only
+  /// when spill-armed, as in the serial batch join).
   /// Shared by the serial and parallel build drains. False when the drain
   /// must stop: a governor trip, or the build's shared byte count crossing
   /// the spill budget, which flags the region for the serial fallback.

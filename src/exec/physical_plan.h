@@ -132,11 +132,12 @@ struct PhysicalPlan {
 
   /// Indented rendering including cost annotations (EXPLAIN). When
   /// `batch_nodes` is given (see exec::BatchModeNodes), operators that run
-  /// vectorized under batch execution mode are marked "[batch]"; when
-  /// `parallel_roots` is given (see exec::ParallelRegionRoots), the roots
-  /// of morsel-parallel regions are marked "[parallel]" instead. When
-  /// `annotations` is given, a node's entry (if any) is appended verbatim
-  /// after the cost annotation (EXPLAIN ANALYZE runtime stats).
+  /// at full batch capacity under batch execution mode are marked
+  /// "[batch]"; when `parallel_roots` is given (see
+  /// exec::ParallelRegionRoots), the roots of morsel-parallel regions are
+  /// marked "[parallel]" instead. When `annotations` is given, a node's
+  /// entry (if any) is appended verbatim after the cost annotation
+  /// (EXPLAIN ANALYZE runtime stats).
   std::string ToString(
       int indent = 0,
       const std::unordered_set<const PhysicalPlan*>* batch_nodes = nullptr,

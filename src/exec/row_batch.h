@@ -6,10 +6,10 @@
 // the selection vector. Operators that construct new rows (projection,
 // join output) emit compacted batches whose selection is the identity.
 //
-// The row-oriented Volcano path and the batch path interoperate through
+// Row-at-a-time operators and batch-native operators interoperate through
 // adapters (Executor::NextBatch's default implementation loops Next(), and
 // batch-native executors materialize rows on demand), so a plan may mix
-// both modes freely.
+// both kinds freely.
 #ifndef QOPT_EXEC_ROW_BATCH_H_
 #define QOPT_EXEC_ROW_BATCH_H_
 

@@ -1,8 +1,11 @@
 // Tests for the vectorized execution path: RowBatch mechanics, batch
-// expression evaluation vs the scalar evaluator, and batch-mode operator
-// parity (identical rows AND identical ExecStats) against the row-mode
-// Volcano executors on hand-built physical plans.
+// expression evaluation vs the scalar evaluator, batch-mode operator
+// parity (identical rows AND identical ExecStats) against row mode — the
+// same operators at batch capacity 1 — on hand-built physical plans, and
+// the scan's constant-comparison prefilter against the row interpreter.
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "exec/expr_eval.h"
 #include "exec/executors.h"
@@ -383,27 +386,35 @@ TEST_F(BatchOperatorTest, AggregateAboveBatchChildren) {
 }
 
 TEST_F(BatchOperatorTest, DefaultNextBatchAdapterOnRowExecutor) {
-  // Build in row mode, then drive the root through NextBatch: the default
-  // adapter must loop Next() and fill a batch.
-  PhysPtr plan = EmpScan();
-  ExecContext ctx;
-  ctx.storage = storage_.get();
-  ctx.catalog = &catalog_;
-  ctx.mode = ExecMode::kRow;
-  ctx.batch_capacity = 3;
-  std::unique_ptr<Executor> exec = BuildExecutor(plan, &ctx);
-  exec->Init();
-  RowBatch b;
-  ASSERT_TRUE(exec->NextBatch(&b));
-  EXPECT_EQ(b.num_rows(), 3u);  // capped at ctx.batch_capacity
-  ASSERT_TRUE(exec->NextBatch(&b));
-  EXPECT_EQ(b.num_rows(), 2u);  // remainder
-  EXPECT_FALSE(exec->NextBatch(&b));
+  // Sort is a row-at-a-time operator: driving it through NextBatch goes
+  // through the default adapter, which must loop Next() and fill a batch
+  // up to the executor's capacity — ctx.batch_capacity in batch mode, 1 in
+  // row mode.
+  PhysPtr plan = MakeSortExec(EmpScan(), {{{0, 0}, /*ascending=*/true}});
+  for (ExecMode mode : {ExecMode::kBatch, ExecMode::kRow}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.mode = mode;
+    ctx.batch_capacity = 3;
+    std::unique_ptr<Executor> exec = BuildExecutor(plan, &ctx);
+    exec->Init();
+    std::vector<size_t> sizes;
+    RowBatch b;
+    while (exec->NextBatch(&b)) sizes.push_back(b.num_rows());
+    if (mode == ExecMode::kBatch) {
+      // Capped at ctx.batch_capacity, then the remainder.
+      EXPECT_EQ(sizes, (std::vector<size_t>{3, 2}));
+    } else {
+      EXPECT_EQ(sizes, (std::vector<size_t>{1, 1, 1, 1, 1}));
+    }
+  }
 }
 
 TEST_F(BatchOperatorTest, BatchModeNodesMarksOnlySupportedOperators) {
-  // limit(sort(filter(scan))): scan and filter vectorize in isolation, but
-  // under a Limit everything must stay row-mode.
+  // limit(sort(filter(scan))): scan and filter run at full capacity in
+  // isolation, but under a Limit everything must run at capacity 1.
   PhysPtr filter = MakeFilterExec(
       EmpScan(), plan::MakeBinary(ast::BinaryOp::kGt, Col(0, 2), Lit(0)));
   const PhysicalPlan* filter_ptr = filter.get();
@@ -417,6 +428,196 @@ TEST_F(BatchOperatorTest, BatchModeNodesMarksOnlySupportedOperators) {
   {
     std::unordered_set<const PhysicalPlan*> nodes = BatchModeNodes(limited);
     EXPECT_TRUE(nodes.empty());
+  }
+}
+
+TEST_F(BatchOperatorTest, LimitStopsInsideOneProbeKeysMatches) {
+  // A third emp row in dept 10: the first probe row (dept 10) has three
+  // build matches. Limit 1 takes one of them, so exactly one joined row may
+  // be counted — in row mode and batch mode alike.
+  storage_->GetTable(0)->AppendUnchecked(
+      {{Value::Int(6), Value::Int(10), Value::Int(600)}});
+  auto join = [&] {
+    return MakeHashJoin(plan::JoinType::kInner, DeptScan(), EmpScan(),
+                        {1, 0}, {0, 1}, nullptr);
+  };
+  PhysPtr limited = MakeLimitExec(join(), 1);
+  for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ModeResult r = RunMode(limited, mode);
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(r.rows[0][0].AsInt(), 10);
+    EXPECT_EQ(r.stats.rows_joined, 1u);
+  }
+  // Drained directly, no output batch exceeds its capacity, even though
+  // one probe row has more matches than fit in a batch.
+  PhysPtr plain = join();
+  for (size_t capacity : {1u, 2u}) {
+    SCOPED_TRACE(capacity);
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.mode = ExecMode::kBatch;
+    ctx.batch_capacity = capacity;
+    std::unique_ptr<Executor> exec = BuildExecutor(plain, &ctx);
+    exec->Init();
+    size_t total = 0;
+    RowBatch b;
+    while (exec->NextBatch(&b)) {
+      EXPECT_LE(b.num_rows(), capacity);
+      total += b.ActiveSize();
+    }
+    EXPECT_EQ(total, 4u);  // dept 10 x {1, 2, 6}, dept 20 x {3}
+    EXPECT_EQ(ctx.stats.rows_joined, 4u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scan-predicate reference: the rows a scan keeps must be exactly the base
+// rows the row interpreter EvalPredicate accepts. The scan checks
+// `column <op> constant` conjuncts with its own comparison code (FastPass)
+// before any row is copied, so this is the independent check that it
+// agrees with the interpreter on NULLs, int/double mixes and strings.
+
+class ScanPredicateReferenceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(catalog_
+                    .CreateTable("mix", {{"i", TypeId::kInt64},
+                                         {"d", TypeId::kDouble},
+                                         {"s", TypeId::kString}})
+                    .ok());
+    storage_ = std::make_unique<Storage>(&catalog_);
+    // 257 rows: not a multiple of any batch capacity under test. Doubles
+    // include integral values, so int/double equality is exercised.
+    std::mt19937 rng(1234);
+    const char* strings[] = {"", "a", "ab", "b", "B"};
+    std::vector<Row> rows;
+    for (int k = 0; k < 257; ++k) {
+      Row r;
+      r.push_back(rng() % 7 == 0
+                      ? Value::Null()
+                      : Value::Int(static_cast<int64_t>(rng() % 11) - 5));
+      r.push_back(rng() % 7 == 0
+                      ? Value::Null()
+                      : Value::Double((static_cast<int>(rng() % 11) - 5) *
+                                      0.5));
+      r.push_back(rng() % 7 == 0 ? Value::Null()
+                                 : Value::String(strings[rng() % 5]));
+      rows.push_back(std::move(r));
+    }
+    storage_->GetTable(0)->AppendUnchecked(rows);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      colmap_[cols_[c].id] = static_cast<int>(c);
+    }
+  }
+
+  plan::BExpr ColExpr(size_t c) const {
+    return plan::MakeColumn(cols_[c].id, cols_[c].type, cols_[c].name);
+  }
+
+  /// A constant for a comparison against column `c`: same-type or
+  /// cross-numeric, occasionally NULL.
+  Value Constant(size_t c, std::mt19937* rng) const {
+    if ((*rng)() % 10 == 0) return Value::Null();
+    const int k = static_cast<int>((*rng)() % 11) - 5;
+    switch (c) {
+      case 0:
+      case 1:
+        return (*rng)() % 2 == 0 ? Value::Int(k) : Value::Double(k * 0.5);
+      default: {
+        const char* strings[] = {"", "a", "ab", "b", "B", "aa"};
+        return Value::String(strings[(*rng)() % 6]);
+      }
+    }
+  }
+
+  /// One conjunct: mostly `column <op> constant` in either orientation,
+  /// sometimes a shape the scan must leave to its residual.
+  plan::BExpr Conjunct(std::mt19937* rng) const {
+    static const ast::BinaryOp kOps[] = {
+        ast::BinaryOp::kEq, ast::BinaryOp::kNe, ast::BinaryOp::kLt,
+        ast::BinaryOp::kLe, ast::BinaryOp::kGt, ast::BinaryOp::kGe};
+    const size_t c = (*rng)() % cols_.size();
+    const ast::BinaryOp op = kOps[(*rng)() % 6];
+    switch ((*rng)() % 6) {
+      case 0:  // residual: arithmetic on the column
+        return plan::MakeBinary(
+            op, plan::MakeBinary(ast::BinaryOp::kAdd, ColExpr(0),
+                                 plan::MakeLiteral(Value::Int(1))),
+            plan::MakeLiteral(Constant(0, rng)));
+      case 1:  // residual: disjunction
+        return plan::MakeBinary(ast::BinaryOp::kOr,
+                                plan::MakeBinary(op, ColExpr(c),
+                                                 plan::MakeLiteral(
+                                                     Constant(c, rng))),
+                                plan::MakeIsNull(ColExpr((c + 1) % 3),
+                                                 (*rng)() % 2 == 0));
+      case 2:  // constant on the left
+        return plan::MakeBinary(op, plan::MakeLiteral(Constant(c, rng)),
+                                ColExpr(c));
+      default:
+        return plan::MakeBinary(op, ColExpr(c),
+                                plan::MakeLiteral(Constant(c, rng)));
+    }
+  }
+
+  std::vector<Row> RunScan(const plan::BExpr& pred, ExecMode mode,
+                           size_t capacity, bool compile) {
+    PhysPtr scan = MakeTableScan(0, 0, "mix", cols_, pred);
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.mode = mode;
+    ctx.batch_capacity = capacity;
+    ctx.compile_expressions = compile;
+    Result<std::vector<Row>> rows = ExecuteAll(scan, &ctx);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(ctx.stats.rows_scanned, 257u);
+    return rows.ok() ? std::move(rows).value() : std::vector<Row>{};
+  }
+
+  const std::vector<plan::OutputCol> cols_ = {
+      {{0, 0}, TypeId::kInt64, "mix.i"},
+      {{0, 1}, TypeId::kDouble, "mix.d"},
+      {{0, 2}, TypeId::kString, "mix.s"}};
+  ColMap colmap_;
+  Catalog catalog_;
+  std::unique_ptr<Storage> storage_;
+};
+
+TEST_F(ScanPredicateReferenceTest,
+       ScanKeepsExactlyTheRowsEvalPredicateAccepts) {
+  std::mt19937 rng(42);
+  const Table& table = *storage_->GetTable(0);
+  const ParamMap params;
+  for (int q = 0; q < 300; ++q) {
+    std::vector<plan::BExpr> conjuncts;
+    const size_t n = 1 + rng() % 3;
+    for (size_t k = 0; k < n; ++k) conjuncts.push_back(Conjunct(&rng));
+    plan::BExpr pred = plan::MakeConjunction(std::move(conjuncts));
+    std::vector<Row> want;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const Row& row = table.row(static_cast<uint32_t>(r));
+      if (EvalPredicate(pred, EvalContext{&colmap_, &row, &params})) {
+        want.push_back(row);
+      }
+    }
+    for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+      for (bool compile : {true, false}) {
+        SCOPED_TRACE(pred->ToString() + " mode=" +
+                     std::to_string(static_cast<int>(mode)) +
+                     " compile=" + std::to_string(compile));
+        std::vector<Row> got =
+            RunScan(pred, mode, kDefaultBatchCapacity, compile);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t r = 0; r < got.size(); ++r) {
+          EXPECT_TRUE(RowEq()(got[r], want[r]))
+              << "row " << r << ": got " << RowToString(got[r])
+              << ", want " << RowToString(want[r]);
+        }
+      }
+    }
   }
 }
 

@@ -2,10 +2,11 @@
 //
 // For every query and every planner configuration (optimized, optimized
 // with rewrites disabled so correlated Apply survives into the physical
-// plan, and naive execution), the vectorized engine must produce the same
-// result multiset AND the same ExecStats as the Volcano row engine: batch
-// read-ahead may never change how many rows are scanned, how many pages
-// are touched, or how often a correlated subquery re-executes. The morsel
+// plan, and naive execution), batch mode must produce the same result
+// multiset AND the same ExecStats as row mode (every operator at batch
+// capacity 1): batch read-ahead may never change how many rows are
+// scanned, how many pages are touched, or how often a correlated subquery
+// re-executes. The morsel
 // parallel engine is held to the same bar at dop 1, 2, 4 and 8 — morsels
 // partition each scan exactly, so every row-count stat stays identical;
 // only modeled_pages_read may diverge (each worker simulates its own LRU
@@ -169,8 +170,8 @@ TEST_F(ExecParityTest, UncorrelatedSubqueries) {
 
 TEST_F(ExecParityTest, CorrelatedSubqueries) {
   // Under no-rewrites / naive configs these run as tuple-iteration Apply:
-  // the batch engine must fall back to row mode for the whole Apply
-  // subtree so subquery_executions and interleaved page touches match.
+  // batch mode must run the whole Apply subtree at capacity 1 so
+  // subquery_executions and interleaved page touches match.
   CheckParity(
       "SELECT name FROM Dept WHERE EXISTS "
       "(SELECT eid FROM Emp WHERE Emp.did = Dept.did AND Emp.sal > 100000)");
@@ -228,6 +229,27 @@ TEST_F(ExecParityTest, ExplainAnnotatesParallelRegions) {
   EXPECT_NE(text->find("execution mode: parallel (dop 4"), std::string::npos)
       << *text;
   EXPECT_NE(text->find("[parallel]"), std::string::npos) << *text;
+}
+
+// Parallel mode at dop 1 builds the serial batch tree: no gather, so
+// EXPLAIN marks no region and the run is the serial batch run, down to the
+// buffer-pool simulation.
+TEST_F(ExecParityTest, ParallelAtDopOneRunsTheSerialBatchTree) {
+  const std::string sql =
+      "SELECT E.eid FROM Emp E, Dept D WHERE E.did = D.did AND E.sal > 80000";
+  QueryOptions par_opts;
+  par_opts.execution_mode = exec::ExecMode::kParallel;
+  par_opts.dop = 1;
+  auto text = db_.Explain(sql, par_opts);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(text->find("[parallel]"), std::string::npos) << *text;
+  EXPECT_NE(text->find("[batch]"), std::string::npos) << *text;
+
+  auto par = db_.Query(sql, par_opts);
+  auto batch = db_.Query(sql, QueryOptions{});
+  ASSERT_TRUE(par.ok() && batch.ok());
+  EXPECT_FALSE(par->exec_stats.parallel_pages_divergent);
+  ExpectStatsEqual(par->exec_stats, batch->exec_stats, "dop1");
 }
 
 // Same query, same dop, ten runs: the sorted output must be byte-identical
