@@ -85,6 +85,12 @@ class BatchScanExec : public BatchExecutor {
   BatchScanExec(const PhysicalPlan* plan, ExecContext* ctx,
                 MorselSource* morsels = nullptr)
       : BatchExecutor(plan, ctx), morsels_(morsels) {
+    // Plans are column-pruned, so output position k copies storage
+    // position storage_pos_[k].
+    for (const plan::OutputCol& c : plan->output_cols) {
+      QOPT_DCHECK(c.id.rel == plan->rel_id);
+      storage_pos_.push_back(static_cast<size_t>(c.id.col));
+    }
     SplitPredicate();
   }
 
@@ -147,7 +153,7 @@ class BatchScanExec : public BatchExecutor {
         }
         const Row& row = table_->row(static_cast<uint32_t>(pos_));
         ++pos_;
-        if (FastPass(row)) out->AppendRow(row);
+        if (FastPass(row)) AppendStorageRow(row, out);
       }
       ctx_->stats.page_touches += pos_ - start;
       ctx_->stats.rows_scanned += pos_ - start;
@@ -165,7 +171,7 @@ class BatchScanExec : public BatchExecutor {
         ++ctx_->stats.rows_scanned;
         ++pos_;
         const Row& row = table_->row(rid);
-        if (FastPass(row)) out->AppendRow(row);
+        if (FastPass(row)) AppendStorageRow(row, out);
       }
     }
     if (!ctx_->GovernorTick(pos_ - batch_start)) return false;
@@ -231,11 +237,12 @@ class BatchScanExec : public BatchExecutor {
   }
 
  private:
-  /// Splits the scan predicate into `column <op> constant` conjuncts —
-  /// checked directly against storage rows before any copy — and a
-  /// residual evaluated batch-wise. Scalar comparison semantics are
-  /// Value::Compare with NULL rejecting, exactly what FastPass does. Depends
-  /// only on the plan node, so it runs once per executor, not per rescan.
+  /// Splits the scan predicate into prefilter conjuncts (ScanPrefilter:
+  /// `column <op> constant`, checked directly against storage rows before
+  /// any copy) and a residual evaluated batch-wise. Scalar comparison
+  /// semantics are Value::Compare with NULL rejecting, exactly what
+  /// FastPass does. Depends only on the plan node, so it runs once per
+  /// executor, not per rescan.
   void SplitPredicate() {
     residual_ = plan_->predicate;
     if (!plan_->predicate) return;
@@ -243,29 +250,21 @@ class BatchScanExec : public BatchExecutor {
     plan::SplitConjuncts(plan_->predicate, &conjuncts);
     std::vector<plan::BExpr> rest;
     for (const plan::BExpr& c : conjuncts) {
-      ColumnId col;
-      ast::BinaryOp op;
-      Value constant;
-      if (plan::MatchColumnConstant(c, &col, &op, &constant) &&
-          !constant.is_null()) {
-        auto it = colmap_.find(col);
-        if (it != colmap_.end()) {
-          FastPred p{static_cast<size_t>(it->second), op,
-                     std::move(constant)};
-          TypeId col_type = plan_->output_cols[p.pos].type;
-          if (col_type == TypeId::kInt64 &&
-              p.constant.type() == TypeId::kInt64) {
-            p.kind = CmpKind::kIntInt;
-            p.iconst = p.constant.AsInt();
-          } else if (IsNumeric(col_type) && IsNumeric(p.constant.type())) {
-            p.kind = CmpKind::kNumeric;
-            p.dconst = p.constant.AsNumeric();
-          }
-          fast_preds_.push_back(std::move(p));
-          continue;
-        }
+      ScanPrefilter pre;
+      if (!MatchScanPrefilter(c, plan_->rel_id, &pre)) {
+        rest.push_back(c);
+        continue;
       }
-      rest.push_back(c);
+      FastPred p{static_cast<size_t>(pre.column.col), pre.op,
+                 std::move(pre.constant)};
+      if (pre.type == TypeId::kInt64 && p.constant.type() == TypeId::kInt64) {
+        p.kind = CmpKind::kIntInt;
+        p.iconst = p.constant.AsInt();
+      } else if (IsNumeric(pre.type) && IsNumeric(p.constant.type())) {
+        p.kind = CmpKind::kNumeric;
+        p.dconst = p.constant.AsNumeric();
+      }
+      fast_preds_.push_back(std::move(p));
     }
     if (!fast_preds_.empty()) {
       residual_ =
@@ -325,7 +324,16 @@ class BatchScanExec : public BatchExecutor {
     return true;
   }
 
+  /// Copies the emitted cells of storage row `row` into `out`.
+  void AppendStorageRow(const Row& row, RowBatch* out) const {
+    for (size_t k = 0; k < storage_pos_.size(); ++k) {
+      out->column(k).push_back(row[storage_pos_[k]]);
+    }
+    out->CommitRow();
+  }
+
   const Table* table_ = nullptr;
+  std::vector<size_t> storage_pos_;  ///< Storage position per output column.
   std::vector<uint32_t> row_ids_;
   std::vector<FastPred> fast_preds_;
   plan::BExpr residual_;
@@ -564,7 +572,7 @@ class BatchHashJoinExec : public BatchExecutor {
     // charged the ModeledRowBytes footprint; spill-armed, memory is bounded
     // by the budget, so the governor sees row bookkeeping only.
     const SpillConfig& sp = ctx_->spill;
-    const uint64_t row_bytes = 16 + 24 * right_width_;
+    const uint64_t row_bytes = ModeledRowBytes(right_width_);
     uint64_t buffered = 0;
     RowBatch build;
     while (!ctx_->Failed() && right_->NextBatch(&build)) {
@@ -706,7 +714,7 @@ class BatchHashJoinExec : public BatchExecutor {
       }
     }
     // One partition is resident at a time: the peak is the largest one.
-    uint64_t bytes = state_->num_build_rows() * (16 + 24 * right_width_);
+    uint64_t bytes = state_->num_build_rows() * ModeledRowBytes(right_width_);
     if (bytes > mem_charged_) {
       ChargeMem(bytes - mem_charged_);
       mem_charged_ = bytes;

@@ -200,7 +200,8 @@ Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx) {
   while (exec->NextBatch(&batch)) {
     size_t n = batch.ActiveSize();
     if (n == 0) continue;
-    if (!ctx->GovernorCharge(n, n * (16 + 24 * plan->output_cols.size()))) {
+    if (!ctx->GovernorCharge(n,
+                             n * ModeledRowBytes(plan->output_cols.size()))) {
       break;
     }
     for (size_t k = 0; k < n; ++k) {

@@ -257,11 +257,15 @@ struct ExecContext {
   }
 };
 
-/// Modeled in-memory footprint of `row` for governor accounting: a flat
-/// per-value estimate, deliberately coarse — budgets bound magnitude, not
-/// exact allocator bytes.
+/// Modeled in-memory footprint of a row of `num_cols` values for governor
+/// accounting: a flat per-value estimate, deliberately coarse — budgets
+/// bound magnitude, not exact allocator bytes. Column pruning makes widths
+/// vary per plan; every charge goes through this one formula.
+inline uint64_t ModeledRowBytes(size_t num_cols) {
+  return 16 + 24 * static_cast<uint64_t>(num_cols);
+}
 inline uint64_t ModeledRowBytes(const Row& row) {
-  return 16 + 24 * static_cast<uint64_t>(row.size());
+  return ModeledRowBytes(row.size());
 }
 
 /// Iterator-model operator.

@@ -301,7 +301,7 @@ class ParallelGatherExec : public Executor {
           // tree; attribute its modeled footprint to the join node so
           // EXPLAIN ANALYZE shows the build memory in parallel mode too.
           uint64_t bytes =
-              state->build_cols[0].size() * (16 + 24 * rwidth);
+              state->build_cols[0].size() * ModeledRowBytes(rwidth);
           OperatorStats& os = ctx_->op_stats[node.get()];
           os.peak_mem_bytes = std::max(os.peak_mem_bytes, bytes);
         }
@@ -323,7 +323,7 @@ class ParallelGatherExec : public Executor {
                        ExecContext* wc,
                        std::vector<std::vector<Value>>* cols) {
     const SpillConfig& sp = ctx_->spill;
-    const uint64_t row_bytes = 16 + 24 * rwidth;
+    const uint64_t row_bytes = ModeledRowBytes(rwidth);
     uint64_t appended = 0;
     for (size_t k = 0; k < batch->ActiveSize(); ++k) {
       uint32_t r = batch->ActiveIndex(k);

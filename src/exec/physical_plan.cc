@@ -1,6 +1,7 @@
 #include "exec/physical_plan.h"
 
 #include <cstdio>
+#include <set>
 
 namespace qopt::exec {
 
@@ -356,6 +357,130 @@ PhysPtr MakeSetOpExec(PhysOpKind kind, PhysPtr left, PhysPtr right,
   p->children = {std::move(left), std::move(right)};
   p->output_cols = std::move(cols);
   return p;
+}
+
+bool MatchScanPrefilter(const plan::BExpr& conjunct, int rel_id,
+                        ScanPrefilter* out) {
+  ColumnId col;
+  ast::BinaryOp op;
+  Value constant;
+  if (!plan::MatchColumnConstant(conjunct, &col, &op, &constant) ||
+      constant.is_null() || col.rel != rel_id) {
+    return false;
+  }
+  const plan::BExpr& column =
+      conjunct->children[0]->kind == plan::BoundKind::kColumn
+          ? conjunct->children[0]
+          : conjunct->children[1];
+  *out = ScanPrefilter{col, column->type, op, std::move(constant)};
+  return true;
+}
+
+namespace {
+
+bool IsScan(const PhysicalPlan& node) {
+  return node.kind == PhysOpKind::kTableScan ||
+         node.kind == PhysOpKind::kIndexScan;
+}
+
+/// Adds every column some operator in the subtree reads to `read`.
+void CollectReadColumns(const PhysicalPlan& node, std::set<ColumnId>* read) {
+  if (node.predicate != nullptr) {
+    if (IsScan(node)) {
+      std::vector<plan::BExpr> conjuncts;
+      plan::SplitConjuncts(node.predicate, &conjuncts);
+      ScanPrefilter pre;
+      for (const plan::BExpr& c : conjuncts) {
+        if (!MatchScanPrefilter(c, node.rel_id, &pre)) {
+          plan::CollectColumns(c, read);
+        }
+      }
+    } else {
+      plan::CollectColumns(node.predicate, read);
+    }
+  }
+  for (const plan::BExpr& e : node.proj_exprs) plan::CollectColumns(e, read);
+  if (node.left_key.valid()) read->insert(node.left_key);
+  if (node.right_key.valid()) read->insert(node.right_key);
+  read->insert(node.group_by.begin(), node.group_by.end());
+  for (const plan::AggItem& agg : node.aggs) {
+    if (agg.arg != nullptr) plan::CollectColumns(agg.arg, read);
+  }
+  for (const plan::SortKey& k : node.sort_keys) read->insert(k.column);
+  read->insert(node.correlated_cols.begin(), node.correlated_cols.end());
+  if (node.scalar_output.valid()) read->insert(node.scalar_output);
+  // Positional and whole-row consumers read every input column.
+  if (node.kind == PhysOpKind::kUnionAll ||
+      node.kind == PhysOpKind::kHashExcept ||
+      node.kind == PhysOpKind::kHashIntersect ||
+      node.kind == PhysOpKind::kDistinct) {
+    for (const PhysPtr& child : node.children) {
+      for (const plan::OutputCol& c : child->output_cols) read->insert(c.id);
+    }
+  }
+  for (const PhysPtr& child : node.children) {
+    CollectReadColumns(*child, read);
+  }
+}
+
+/// Copy of `node` with scans narrowed to `read` (unless `full_width`) and
+/// pass-through output columns rebuilt from the pruned children.
+PhysPtr Prune(const PhysicalPlan& node, const std::set<ColumnId>& read,
+              bool full_width = false) {
+  auto copy = std::make_shared<PhysicalPlan>(node);
+  for (size_t i = 0; i < copy->children.size(); ++i) {
+    bool inl_inner = node.kind == PhysOpKind::kIndexNestedLoopJoin && i == 1;
+    copy->children[i] = Prune(*node.children[i], read, inl_inner);
+  }
+  switch (node.kind) {
+    case PhysOpKind::kTableScan:
+    case PhysOpKind::kIndexScan:
+      if (!full_width) {
+        copy->output_cols.clear();
+        for (const plan::OutputCol& c : node.output_cols) {
+          if (read.count(c.id) > 0) copy->output_cols.push_back(c);
+        }
+      }
+      break;
+    case PhysOpKind::kFilter:
+    case PhysOpKind::kSort:
+    case PhysOpKind::kLimit:
+    case PhysOpKind::kDistinct:
+      copy->output_cols = copy->children[0]->output_cols;
+      break;
+    case PhysOpKind::kNestedLoopJoin:
+    case PhysOpKind::kIndexNestedLoopJoin:
+    case PhysOpKind::kMergeJoin:
+    case PhysOpKind::kHashJoin:
+      copy->output_cols = JoinOutputCols(node.join_type, copy->children[0],
+                                         copy->children[1]);
+      break;
+    case PhysOpKind::kApply:
+      copy->output_cols = copy->children[0]->output_cols;
+      if (node.apply_type == plan::ApplyType::kScalar) {
+        copy->output_cols.push_back(node.output_cols.back());
+      }
+      break;
+    case PhysOpKind::kProject:
+    case PhysOpKind::kHashAggregate:
+    case PhysOpKind::kStreamAggregate:
+    case PhysOpKind::kUnionAll:
+    case PhysOpKind::kHashExcept:
+    case PhysOpKind::kHashIntersect:
+      break;  // output defined by the operator itself
+  }
+  return copy;
+}
+
+}  // namespace
+
+PhysPtr PruneColumns(const PhysPtr& root) {
+  std::set<ColumnId> read;
+  for (const plan::OutputCol& c : root->output_cols) read.insert(c.id);
+  CollectReadColumns(*root, &read);
+  PhysPtr pruned = Prune(*root, read);
+  QOPT_DCHECK(pruned->output_cols.size() == root->output_cols.size());
+  return pruned;
 }
 
 }  // namespace qopt::exec

@@ -187,6 +187,35 @@ PhysPtr MakeUnionAllExec(std::vector<PhysPtr> children,
 PhysPtr MakeSetOpExec(PhysOpKind kind, PhysPtr left, PhysPtr right,
                       std::vector<plan::OutputCol> cols);
 
+/// A scan-predicate conjunct `column <op> non-null constant` over a column
+/// of the scan's own relation. The scan checks these against the storage
+/// row before copying anything (its prefilter), so a column read only by
+/// them is never emitted.
+struct ScanPrefilter {
+  ColumnId column;  ///< column.col is the storage position.
+  TypeId type = TypeId::kNull;  ///< Type of the bound column expression.
+  ast::BinaryOp op = ast::BinaryOp::kEq;  ///< Normalized column-on-left.
+  Value constant;
+};
+
+/// True iff `conjunct` is a prefilter of a scan over relation `rel_id`;
+/// fills `*out` when it is.
+bool MatchScanPrefilter(const plan::BExpr& conjunct, int rel_id,
+                        ScanPrefilter* out);
+
+/// Column pruning, run once on the optimizer's chosen plan: returns a copy
+/// of `root` in which every table and index scan emits only the columns
+/// some operator above it reads (predicates other than the scan's own
+/// prefilters, projections, join keys, grouping and aggregate arguments,
+/// sort keys, Apply's correlated and scalar columns, the root's output, and
+/// every input column of UnionAll, HashExcept, HashIntersect and Distinct).
+/// Pass-through operators (Filter, Sort, Limit, Distinct, joins, Apply)
+/// get their output columns rebuilt from the pruned children. The inner
+/// scan of an index nested-loops join keeps its full width: the join
+/// evaluates the inner residual against storage rows. The root's output
+/// columns are unchanged.
+PhysPtr PruneColumns(const PhysPtr& root);
+
 }  // namespace qopt::exec
 
 #endif  // QOPT_EXEC_PHYSICAL_PLAN_H_

@@ -659,7 +659,10 @@ Result<exec::PhysPtr> Optimizer::Optimize(const LogicalPtr& root,
                                            : "canonical plan");
     trace->Add("opt", buf);
   }
-  return best;
+  // Every enumerator, the plan cache and parametric plans take their plans
+  // from here, so this is the one place scans are narrowed to the columns
+  // the plan reads.
+  return exec::PruneColumns(best);
 }
 
 }  // namespace qopt::opt
