@@ -35,6 +35,8 @@ struct RunResult {
   size_t rows = 0;
 };
 
+constexpr size_t kDop = 4;
+
 RunResult RunOnce(Database& db, const exec::PhysPtr& plan, exec::ExecMode mode,
                   ThreadPool* pool, bool analyze) {
   RunResult r;
@@ -44,7 +46,7 @@ RunResult RunOnce(Database& db, const exec::PhysPtr& plan, exec::ExecMode mode,
   ctx.mode = mode;
   ctx.analyze = analyze;
   if (mode == exec::ExecMode::kParallel) {
-    ctx.dop = 4;
+    ctx.dop = kDop;
     ctx.pool = pool;
     ctx.morsel_rows = 4096;
   }
@@ -91,7 +93,9 @@ int main(int argc, char** argv) {
       {"batch", exec::ExecMode::kBatch},
       {"parallel", exec::ExecMode::kParallel},
   };
-  ThreadPool pool(4);
+  // Sized as Database sizes its pool: dop workers are the calling thread
+  // plus dop-1 pool threads.
+  ThreadPool pool(kDop - 1);
 
   TablePrinter table({"mode", "off ms", "off noise %", "on ms", "analyze %",
                       "rows"});

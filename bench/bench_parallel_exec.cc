@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
        "WHERE f.k = d.id AND f.v < 500 GROUP BY f.grp"},
   };
 
-  ThreadPool pool(ThreadPool::kMaxThreads);
   unsigned hardware = std::thread::hardware_concurrency();
 
   TablePrinter table({"pipeline", "dop", "serial ms", "par ms", "wall x",
@@ -172,6 +171,10 @@ int main(int argc, char** argv) {
     auto plan = db.PlanQuery(p.sql);
     QOPT_DCHECK(plan.ok());
     for (size_t dop : kDops) {
+      // Sized as Database sizes its pool: dop workers are the calling
+      // thread plus dop-1 pool threads.
+      ThreadPool pool(1);
+      pool.EnsureThreads(dop - 1);
       // Interleave serial/parallel reps so machine-load drift skews both
       // sides equally; keep the best rep of each.
       RunResult serial, par;

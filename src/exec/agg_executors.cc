@@ -1,227 +1,233 @@
-#include <map>
-#include <set>
-#include <unordered_map>
+#include <utility>
 
 #include "exec/agg_state.h"
 #include "exec/executors_internal.h"
-#include "exec/expr_compile.h"
 
 namespace qopt::exec::internal {
 
 namespace {
 
-using ast::AggFunc;
+/// A fresh group with one accumulator per item in `aggs`.
+Group NewGroup(const std::vector<plan::AggItem>& aggs) {
+  Group g;
+  for (const plan::AggItem& item : aggs) g.accs.emplace_back(&item);
+  return g;
+}
 
-/// Common machinery: grouping keys extraction and result materialization.
-/// AggAcc / Group themselves live in agg_state.h, shared with the parallel
-/// partial-aggregation sink.
-class AggregateExecBase : public Executor {
- public:
-  AggregateExecBase(const PhysicalPlan* plan, ExecContext* ctx,
-                    std::unique_ptr<Executor> child)
-      : Executor(plan, ctx), child_(std::move(child)) {}
+/// A result row: the group key followed by each aggregate's final value.
+Row FinalizeGroup(Row key, const Group& g) {
+  for (const AggAcc& acc : g.accs) key.push_back(acc.Finalize());
+  return key;
+}
 
- protected:
-  void ResolveKeyPositions() {
-    key_pos_.clear();
-    for (ColumnId id : plan_->group_by) {
-      auto it = child_->colmap().find(id);
-      QOPT_DCHECK(it != child_->colmap().end());
-      key_pos_.push_back(it->second);
-    }
+/// True when `item` reads an argument (every aggregate but COUNT(*)).
+bool HasArg(const plan::AggItem& item) {
+  return item.func != ast::AggFunc::kCountStar && item.arg != nullptr;
+}
+
+/// Positions of aggregate node `agg`'s group keys in its input rows.
+std::vector<int> GroupKeyPositions(const PhysicalPlan& agg) {
+  std::vector<int> pos;
+  pos.reserve(agg.group_by.size());
+  for (ColumnId id : agg.group_by) {
+    pos.push_back(agg.children[0]->FindOutput(id));
+    QOPT_DCHECK(pos.back() >= 0);
   }
+  return pos;
+}
 
-  Row KeyOf(const Row& in) const {
-    Row key;
-    key.reserve(key_pos_.size());
-    for (int p : key_pos_) key.push_back(in[p]);
-    return key;
+}  // namespace
+
+AggPrograms ResolveAggPrograms(const PhysicalPlan* agg, ExecContext* ctx,
+                               const std::function<void(bool)>& record) {
+  const std::vector<plan::OutputCol>& in_cols = agg->children[0]->output_cols;
+  ColMap colmap;
+  for (size_t i = 0; i < in_cols.size(); ++i) {
+    colmap[in_cols[i].id] = static_cast<int>(i);
   }
+  const expr::CompileEnv env = expr::MakeCompileEnv(colmap, in_cols);
+  AggPrograms progs(agg->aggs.size());
+  for (size_t i = 0; i < progs.size(); ++i) {
+    const plan::AggItem& item = agg->aggs[i];
+    if (!HasArg(item)) continue;
+    progs[i] = expr::ResolveProgram(
+        agg, expr::kSlotAggBase + static_cast<int>(i), item.arg.get(), env,
+        /*as_predicate=*/false, ctx);
+    record(progs[i] != nullptr);
+  }
+  return progs;
+}
 
-  void Accumulate(Group* g, const Row& in) const {
-    EvalContext ev{&child_->colmap(), &in, &ctx_->params};
-    for (size_t i = 0; i < plan_->aggs.size(); ++i) {
-      const plan::AggItem& item = plan_->aggs[i];
-      if (item.func == AggFunc::kCountStar) {
-        g->accs[i].Accumulate(Value::Null());
+GroupTable::GroupTable(const PhysicalPlan& agg)
+    : aggs_(&agg.aggs), key_pos_(GroupKeyPositions(agg)) {
+  groups_.reserve(ReserveHint(agg.est_rows));
+  order_.reserve(ReserveHint(agg.est_rows));
+}
+
+void GroupTable::Drain(Executor* input, const AggPrograms& progs,
+                       ExecContext* ctx) {
+  const std::vector<plan::AggItem>& aggs = *aggs_;
+  const size_t na = aggs.size();
+  const uint64_t group_bytes = ModeledGroupBytes(key_pos_.size(), na);
+  expr::ExprExecState state;
+  RowBatch b;
+  std::vector<std::vector<Value>> argv(na);
+  const BatchEvalContext bev{&input->colmap(), &b, &ctx->params};
+  while (!ctx->Failed() && input->NextBatch(&b)) {
+    const size_t n = b.ActiveSize();
+    if (n == 0) continue;
+    for (size_t i = 0; i < na; ++i) {
+      if (!HasArg(aggs[i])) continue;
+      if (progs[i] != nullptr) {
+        progs[i]->EvalColumn(b, &state, &argv[i]);
       } else {
-        g->accs[i].Accumulate(EvalExpr(*item.arg, ev));
+        EvalExprBatch(*aggs[i].arg, bev, &argv[i]);
+      }
+    }
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t r = b.ActiveIndex(k);
+      probe_.clear();
+      for (int p : key_pos_) probe_.push_back(b.At(p, r));
+      auto it = groups_.find(probe_);
+      if (it == groups_.end()) {
+        if (!ctx->GovernorCharge(1, group_bytes)) return;
+        it = groups_.emplace(probe_, NewGroup(aggs)).first;
+        order_.push_back(&*it);
+      }
+      std::vector<AggAcc>& accs = it->second.accs;
+      for (size_t i = 0; i < na; ++i) {
+        if (HasArg(aggs[i])) {
+          accs[i].Accumulate(argv[i][k]);
+        } else {
+          accs[i].Accumulate(Value::Null());
+        }
       }
     }
   }
+}
 
-  Group NewGroup() const { return internal::NewGroup(plan_->aggs); }
-
-  Row FinalizeRow(const Row& key, const Group& g) const {
-    Row out = key;
-    for (const AggAcc& acc : g.accs) out.push_back(acc.Finalize());
-    return out;
+void GroupTable::MergeFrom(GroupTable&& other) {
+  for (Map::value_type* entry : other.order_) {
+    auto it = groups_.find(entry->first);
+    if (it == groups_.end()) {
+      // Moving the node keeps `entry` pointing at it, now in this table.
+      groups_.insert(other.groups_.extract(entry->first));
+      order_.push_back(entry);
+      continue;
+    }
+    for (size_t i = 0; i < it->second.accs.size(); ++i) {
+      it->second.accs[i].MergeFrom(entry->second.accs[i]);
+    }
   }
+  other.order_.clear();
+}
 
-  std::unique_ptr<Executor> child_;
-  std::vector<int> key_pos_;
-};
+std::vector<Row> GroupTable::Finalize() const {
+  if (order_.empty() && key_pos_.empty()) {
+    return {FinalizeGroup({}, NewGroup(*aggs_))};
+  }
+  std::vector<Row> out;
+  out.reserve(order_.size());
+  for (const Map::value_type* entry : order_) {
+    out.push_back(FinalizeGroup(entry->first, entry->second));
+  }
+  return out;
+}
 
-class HashAggregateExec : public AggregateExecBase {
+namespace {
+
+/// Drains its input into one GroupTable on Init, then emits the groups.
+class HashAggregateExec : public Executor {
  public:
-  using AggregateExecBase::AggregateExecBase;
+  HashAggregateExec(const PhysicalPlan* plan, ExecContext* ctx,
+                    std::unique_ptr<Executor> child)
+      : Executor(plan, ctx), child_(std::move(child)) {}
 
   void InitImpl() override {
     child_->Init();
-    ResolveKeyPositions();
     results_.clear();
     pos_ = 0;
-
-    std::unordered_map<Row, Group, RowHash, RowEq> groups;
-    groups.reserve(ReserveHint(plan_->est_rows));
-    // Preserve first-seen group order for deterministic output.
-    std::vector<const Row*> order;
-    order.reserve(ReserveHint(plan_->est_rows));
-    // Vectorized drain: aggregate arguments evaluate whole batches at a
-    // time (compiled when possible, else interpreted batch-wise), and keys
-    // gather straight from the batch columns — no per-input-row Row
-    // materialization.
-    BatchDrain(&groups, &order);
+    GroupTable table(*plan_);
+    table.Drain(child_.get(),
+                ResolveAggPrograms(plan_, ctx_,
+                                   [this](bool c) { RecordExprMode(c); }),
+                ctx_);
+    ChargeMem(table.bytes());
     if (ctx_->Failed()) return;
-    if (groups.empty() && plan_->group_by.empty()) {
-      // Scalar aggregate over empty input still yields one row
-      // (COUNT(*) = 0, SUM = NULL, ...).
-      Group g = NewGroup();
-      results_.push_back(FinalizeRow({}, g));
-      return;
-    }
-    for (const Row* key : order) {
-      results_.push_back(FinalizeRow(*key, groups.at(*key)));
-    }
+    results_ = table.Finalize();
   }
 
   bool NextImpl(Row* out) override {
     if (pos_ >= results_.size()) return false;
-    *out = results_[pos_++];
+    *out = std::move(results_[pos_++]);
     return true;
   }
 
  private:
-  /// Batch-at-a-time input drain. Each new group charges its key row plus
-  /// a flat per-accumulator estimate; a governor abort stops the drain with
-  /// the error recorded on the context.
-  void BatchDrain(std::unordered_map<Row, Group, RowHash, RowEq>* groups,
-                  std::vector<const Row*>* order) {
-    const size_t na = plan_->aggs.size();
-    std::vector<std::shared_ptr<const expr::ExprProgram>> progs(na);
-    const expr::CompileEnv env = expr::MakeCompileEnv(
-        child_->colmap(), plan_->children[0]->output_cols);
-    for (size_t i = 0; i < na; ++i) {
-      const plan::AggItem& item = plan_->aggs[i];
-      if (item.func == AggFunc::kCountStar || item.arg == nullptr) continue;
-      progs[i] = expr::ResolveProgram(
-          plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg.get(),
-          env, /*as_predicate=*/false, ctx_);
-      RecordExprMode(progs[i] != nullptr);
-    }
-    expr::ExprExecState state;
-    RowBatch b;
-    std::vector<std::vector<Value>> argv(na);
-    BatchEvalContext bev{&child_->colmap(), &b, &ctx_->params};
-    while (!ctx_->Failed() && child_->NextBatch(&b)) {
-      const size_t n = b.ActiveSize();
-      if (n == 0) continue;
-      for (size_t i = 0; i < na; ++i) {
-        const plan::AggItem& item = plan_->aggs[i];
-        if (item.func == AggFunc::kCountStar || item.arg == nullptr) continue;
-        if (progs[i] != nullptr) {
-          progs[i]->EvalColumn(b, &state, &argv[i]);
-        } else {
-          EvalExprBatch(*item.arg, bev, &argv[i]);
-        }
-      }
-      for (size_t k = 0; k < n; ++k) {
-        const uint32_t r = b.ActiveIndex(k);
-        Row key;
-        key.reserve(key_pos_.size());
-        for (int p : key_pos_) key.push_back(b.At(p, r));
-        auto [it, inserted] = groups->emplace(std::move(key), NewGroup());
-        if (inserted) {
-          if (!ctx_->GovernorCharge(
-                  1, ModeledRowBytes(it->first) + 48 * na)) {
-            return;
-          }
-          ChargeMem(ModeledRowBytes(it->first) + 48 * na);
-          order->push_back(&it->first);
-        }
-        Group& g = it->second;
-        for (size_t i = 0; i < na; ++i) {
-          if (plan_->aggs[i].func == AggFunc::kCountStar ||
-              plan_->aggs[i].arg == nullptr) {
-            g.accs[i].Accumulate(Value::Null());
-          } else {
-            g.accs[i].Accumulate(argv[i][k]);
-          }
-        }
-      }
-    }
-  }
-
+  std::unique_ptr<Executor> child_;
   std::vector<Row> results_;
   size_t pos_ = 0;
 };
 
 /// Streaming aggregation over input sorted by the grouping columns: emits a
 /// group when the key changes (exploits interesting orders, §3).
-class StreamAggregateExec : public AggregateExecBase {
+class StreamAggregateExec : public Executor {
  public:
-  using AggregateExecBase::AggregateExecBase;
+  StreamAggregateExec(const PhysicalPlan* plan, ExecContext* ctx,
+                      std::unique_ptr<Executor> child)
+      : Executor(plan, ctx), child_(std::move(child)) {}
 
   void InitImpl() override {
     child_->Init();
-    ResolveKeyPositions();
+    key_pos_ = GroupKeyPositions(*plan_);
     done_ = false;
     has_current_ = false;
-    produced_any_ = false;
   }
 
   bool NextImpl(Row* out) override {
     if (done_) return false;
     Row in;
     while (child_->Next(&in)) {
-      Row key = KeyOf(in);
-      if (!has_current_) {
+      Row key;
+      key.reserve(key_pos_.size());
+      for (int p : key_pos_) key.push_back(in[p]);
+      const bool emit = has_current_ && !RowEq()(key, current_key_);
+      if (emit) *out = FinalizeGroup(std::move(current_key_), current_);
+      if (emit || !has_current_) {
         current_key_ = std::move(key);
-        current_ = NewGroup();
+        current_ = NewGroup(plan_->aggs);
         has_current_ = true;
-        Accumulate(&current_, in);
-        continue;
       }
-      if (RowEq()(key, current_key_)) {
-        Accumulate(&current_, in);
-        continue;
-      }
-      *out = FinalizeRow(current_key_, current_);
-      produced_any_ = true;
-      current_key_ = std::move(key);
-      current_ = NewGroup();
-      Accumulate(&current_, in);
-      return true;
+      Accumulate(in);
+      if (emit) return true;
     }
     done_ = true;
     if (has_current_) {
-      *out = FinalizeRow(current_key_, current_);
-      produced_any_ = true;
+      *out = FinalizeGroup(std::move(current_key_), current_);
       return true;
     }
-    if (!produced_any_ && plan_->group_by.empty()) {
-      Group g = NewGroup();
-      *out = FinalizeRow({}, g);
-      produced_any_ = true;
+    if (plan_->group_by.empty()) {
+      // Scalar aggregate over empty input still yields one row.
+      *out = FinalizeGroup({}, NewGroup(plan_->aggs));
       return true;
     }
     return false;
   }
 
  private:
+  void Accumulate(const Row& in) {
+    EvalContext ev{&child_->colmap(), &in, &ctx_->params};
+    for (size_t i = 0; i < plan_->aggs.size(); ++i) {
+      const plan::AggItem& item = plan_->aggs[i];
+      current_.accs[i].Accumulate(HasArg(item) ? EvalExpr(*item.arg, ev)
+                                               : Value::Null());
+    }
+  }
+
+  std::unique_ptr<Executor> child_;
+  std::vector<int> key_pos_;
   bool done_ = false;
   bool has_current_ = false;
-  bool produced_any_ = false;
   Row current_key_;
   Group current_{};
 };

@@ -9,8 +9,9 @@
 // projection and join output build compacted column vectors directly.
 //
 // Every batch executor also answers Next() by draining its current batch a
-// row at a time, so row-at-a-time parents (sort, aggregate, nested-loop
-// joins, set operations, ...) consume batch subtrees transparently.
+// row at a time, so row-at-a-time parents (sort, stream aggregate,
+// nested-loop joins, set operations, ...) consume batch subtrees
+// transparently. The hash aggregate drains batches (agg_state.h).
 //
 // ExecStats exactness: operators increment rows_scanned / rows_joined /
 // index_lookups per row and touch buffer-pool pages in row order, and no

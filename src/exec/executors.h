@@ -268,6 +268,14 @@ inline uint64_t ModeledRowBytes(const Row& row) {
   return ModeledRowBytes(row.size());
 }
 
+/// Modeled footprint of one hash-aggregation group: its key row plus a flat
+/// per-accumulator estimate. The governor charge of every new group.
+inline uint64_t ModeledGroupBytes(size_t key_cols, size_t num_aggs) {
+  constexpr uint64_t kAccBytes = 48;
+  return ModeledRowBytes(key_cols) +
+         kAccBytes * static_cast<uint64_t>(num_aggs);
+}
+
 /// Iterator-model operator.
 ///
 /// The public Init/Next/NextBatch entry points are non-virtual dispatchers

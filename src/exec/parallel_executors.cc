@@ -42,7 +42,6 @@
 #include "engine/thread_pool.h"
 #include "exec/agg_state.h"
 #include "exec/executors_internal.h"
-#include "exec/expr_compile.h"
 #include "exec/hash_join_state.h"
 #include "exec/morsel.h"
 
@@ -461,183 +460,34 @@ class ParallelGatherExec : public Executor {
     }
   }
 
-  /// Per-worker partial aggregation over the pipeline, merged in worker
-  /// order at the barrier (AggAcc::MergeFrom; DISTINCT partials merge by
-  /// re-accumulation, so cross-worker duplicates collapse exactly).
+  /// Per-worker partial aggregation over the pipeline: one GroupTable per
+  /// worker, merged in worker order at the barrier (AggAcc::MergeFrom;
+  /// DISTINCT partials merge by re-accumulation, so cross-worker duplicates
+  /// collapse exactly). Workers sharing a group each charge their partial —
+  /// the budget bounds real memory, which partials really occupy.
   void RunAggPhase() {
-    struct Partial {
-      std::unordered_map<Row, Group, RowHash, RowEq> groups;
-      std::vector<const Row*> order;  ///< First-seen order within worker.
-    };
-    ColMap child_map;
-    for (size_t i = 0; i < pipeline_root_->output_cols.size(); ++i) {
-      child_map[pipeline_root_->output_cols[i].id] = static_cast<int>(i);
-    }
-    std::vector<int> key_pos;
-    for (ColumnId id : plan_->group_by) {
-      key_pos.push_back(KeyPos(pipeline_root_, id));
-    }
-    const size_t na = plan_->aggs.size();
-    // Aggregate-argument programs are resolved once here (the node cache
-    // makes this a lookup for every worker anyway) so the compile time and
-    // compiled/fallback counts are charged exactly once per query; workers
-    // share the immutable programs and keep private ExprExecState scratch.
-    std::vector<std::shared_ptr<const expr::ExprProgram>> progs(na);
-    if (ctx_->compile_expressions) {
-      const expr::CompileEnv env =
-          expr::MakeCompileEnv(child_map, pipeline_root_->output_cols);
-      for (size_t i = 0; i < na; ++i) {
-        const plan::AggItem& item = plan_->aggs[i];
-        if (item.func == ast::AggFunc::kCountStar || item.arg == nullptr) {
-          continue;
-        }
-        progs[i] = expr::ResolveProgram(
-            plan_, expr::kSlotAggBase + static_cast<int>(i), item.arg.get(),
-            env, /*as_predicate=*/false, ctx_);
-        RecordExprMode(progs[i] != nullptr);
-      }
-    }
-    std::vector<Partial> partials(dop_);
+    const AggPrograms progs = ResolveAggPrograms(
+        plan_, ctx_, [this](bool c) { RecordExprMode(c); });
+    std::vector<GroupTable> partials;
+    partials.reserve(dop_);
+    for (size_t w = 0; w < dop_; ++w) partials.emplace_back(*plan_);
     RunPhase([&](size_t w) {
       ExecContext* wc = wctx_[w].get();
-      Partial& part = partials[w];
-      // Any worker can see every group, so each partial sizes for the full
-      // estimated group count.
-      part.groups.reserve(ReserveHint(plan_->est_rows));
       std::unique_ptr<Executor> tree = BuildWorkerTree(pipeline_root_, wc);
       tree->Init();
-      RowBatch b;
-      if (ctx_->compile_expressions) {
-        // Vectorized drain: arguments evaluate whole batches at a time and
-        // keys gather straight from the batch columns — no per-row Row
-        // materialization (mirrors the serial HashAggregate batch drain).
-        expr::ExprExecState state;
-        std::vector<std::vector<Value>> argv(na);
-        BatchEvalContext bev{&child_map, &b, &wc->params};
-        while (!wc->Failed() && tree->NextBatch(&b)) {
-          const size_t n = b.ActiveSize();
-          if (n == 0) continue;
-          for (size_t i = 0; i < na; ++i) {
-            const plan::AggItem& item = plan_->aggs[i];
-            if (item.func == ast::AggFunc::kCountStar ||
-                item.arg == nullptr) {
-              continue;
-            }
-            if (progs[i] != nullptr) {
-              progs[i]->EvalColumn(b, &state, &argv[i]);
-            } else {
-              EvalExprBatch(*item.arg, bev, &argv[i]);
-            }
-          }
-          bool charged_out = false;
-          for (size_t k = 0; k < n; ++k) {
-            const uint32_t r = b.ActiveIndex(k);
-            Row key;
-            key.reserve(key_pos.size());
-            for (int p : key_pos) key.push_back(b.At(p, r));
-            auto [it, inserted] =
-                part.groups.emplace(std::move(key), NewGroup(plan_->aggs));
-            if (inserted) {
-              // Same per-group charge as the serial hash aggregate; workers
-              // sharing a group each charge their partial — the budget
-              // bounds real memory, which partials really occupy.
-              if (!wc->GovernorCharge(1, ModeledRowBytes(it->first) +
-                                             48 * na)) {
-                charged_out = true;
-                break;
-              }
-              part.order.push_back(&it->first);
-            }
-            for (size_t i = 0; i < na; ++i) {
-              if (plan_->aggs[i].func == ast::AggFunc::kCountStar ||
-                  plan_->aggs[i].arg == nullptr) {
-                it->second.accs[i].Accumulate(Value::Null());
-              } else {
-                it->second.accs[i].Accumulate(argv[i][k]);
-              }
-            }
-          }
-          if (charged_out) break;
-        }
-      } else {
-        Row in;
-        while (!wc->Failed() && tree->NextBatch(&b)) {
-          for (size_t k = 0; k < b.ActiveSize(); ++k) {
-            b.MaterializeActive(k, &in);
-            Row key;
-            key.reserve(key_pos.size());
-            for (int p : key_pos) key.push_back(in[p]);
-            auto [it, inserted] =
-                part.groups.emplace(std::move(key), NewGroup(plan_->aggs));
-            if (inserted) {
-              // Same per-group charge as the serial hash aggregate; workers
-              // sharing a group each charge their partial — the budget
-              // bounds real memory, which partials really occupy.
-              if (!wc->GovernorCharge(1, ModeledRowBytes(it->first) +
-                                             48 * plan_->aggs.size())) {
-                break;
-              }
-              part.order.push_back(&it->first);
-            }
-            EvalContext ev{&child_map, &in, &wc->params};
-            for (size_t i = 0; i < plan_->aggs.size(); ++i) {
-              const plan::AggItem& item = plan_->aggs[i];
-              if (item.func == ast::AggFunc::kCountStar) {
-                it->second.accs[i].Accumulate(Value::Null());
-              } else {
-                it->second.accs[i].Accumulate(EvalExpr(*item.arg, ev));
-              }
-            }
-          }
-        }
-      }
+      partials[w].Drain(tree.get(), progs, wc);
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });
     if (Aborted()) return;
-    std::unordered_map<Row, Group, RowHash, RowEq> merged;
-    merged.reserve(ReserveHint(plan_->est_rows));
-    std::vector<const Row*> order;
-    order.reserve(ReserveHint(plan_->est_rows));
-    for (Partial& part : partials) {
-      for (const Row* key : part.order) {
-        auto pit = part.groups.find(*key);
-        auto mit = merged.find(*key);
-        if (mit == merged.end()) {
-          auto it = merged.emplace(*key, std::move(pit->second)).first;
-          order.push_back(&it->first);
-        } else {
-          for (size_t i = 0; i < mit->second.accs.size(); ++i) {
-            mit->second.accs[i].MergeFrom(pit->second.accs[i]);
-          }
-        }
-      }
-    }
-    if (merged.empty() && plan_->group_by.empty()) {
-      // Scalar aggregate over empty input still yields one row.
-      Group g = NewGroup(plan_->aggs);
-      Row out;
-      for (const AggAcc& acc : g.accs) out.push_back(acc.Finalize());
-      results_.push_back(std::move(out));
-      return;
-    }
+    GroupTable& merged = partials[0];
+    for (size_t w = 1; w < dop_; ++w) merged.MergeFrom(std::move(partials[w]));
     if (ctx_->analyze) {
-      // The merged group table lives on the gather, not inside a worker
-      // tree; attribute its modeled footprint to the aggregate node.
-      uint64_t bytes = 0;
-      for (const Row* key : order) {
-        bytes += ModeledRowBytes(*key) + 48 * plan_->aggs.size();
-      }
+      // The merged table lives on the gather, not inside a worker tree;
+      // attribute its modeled footprint to the aggregate node.
       OperatorStats& os = ctx_->op_stats[plan_];
-      os.peak_mem_bytes = std::max(os.peak_mem_bytes, bytes);
+      os.peak_mem_bytes = std::max(os.peak_mem_bytes, merged.bytes());
     }
-    results_.reserve(order.size());
-    for (const Row* key : order) {
-      Row out = *key;
-      for (const AggAcc& acc : merged.at(*key).accs) {
-        out.push_back(acc.Finalize());
-      }
-      results_.push_back(std::move(out));
-    }
+    results_ = merged.Finalize();
   }
 
   PhysPtr root_;

@@ -195,6 +195,34 @@ TEST_F(ExplainAnalyzeTest, ParallelPagesDivergenceSurfaced) {
   EXPECT_EQ(serial->find("modeled_pages_read diverges"), std::string::npos);
 }
 
+// The parallel gather resolves its aggregate's argument programs itself.
+// With compilation off it must report them as interpreted on the
+// HashAggregate line, exactly as the serial batch aggregate does.
+TEST_F(ExplainAnalyzeTest, ParallelHashAggregateShowsExprMode) {
+  constexpr char kSql[] = "SELECT t0.b, SUM(t0.c + 1) FROM t0 GROUP BY t0.b";
+  auto agg_line = [&](exec::ExecMode mode) {
+    QueryOptions options = Options(mode);
+    options.compile_expressions = false;
+    Result<std::string> text = db_.ExplainAnalyze(kSql, options);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    std::istringstream lines(text.ok() ? *text : "");
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("HashAggregate") != std::string::npos) return line;
+    }
+    return std::string();
+  };
+  auto expr_mode = [](const std::string& line) {
+    size_t at = line.find("[expr: ");
+    return at == std::string::npos ? std::string("<none>")
+                                   : line.substr(at, line.find(']', at) - at + 1);
+  };
+  const std::string batch = agg_line(exec::ExecMode::kBatch);
+  const std::string parallel = agg_line(exec::ExecMode::kParallel);
+  ASSERT_NE(parallel.find("[parallel]"), std::string::npos) << parallel;
+  EXPECT_EQ(expr_mode(batch), "[expr: interpreted]") << batch;
+  EXPECT_EQ(expr_mode(parallel), expr_mode(batch)) << parallel;
+}
+
 // EXPLAIN ANALYZE as a SQL statement through Query().
 TEST_F(ExplainAnalyzeTest, SqlStatementForm) {
   Result<QueryResult> r =

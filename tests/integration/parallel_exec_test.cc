@@ -174,6 +174,49 @@ TEST_F(ParallelExecTest, SerialFallbackShapesStayCorrect) {
       "(SELECT AVG(sal) FROM Emp e2 WHERE e2.did = e1.did)");
 }
 
+// The cross-worker merge of per-worker partial aggregates: DISTINCT
+// partials merge by re-accumulation, and a scalar aggregate over empty
+// input yields its one row only after the merge. Every worker claims
+// several 64-row morsels, so groups and distinct values span workers.
+TEST_F(ParallelExecTest, CrossWorkerAggregateMergeMatchesSerial) {
+  const char* kQueries[] = {
+      "SELECT did, COUNT(DISTINCT age), SUM(DISTINCT age), AVG(sal), "
+      "MIN(sal), MAX(age) FROM Emp GROUP BY did",
+      "SELECT COUNT(DISTINCT did), SUM(DISTINCT age), AVG(sal), MIN(sal), "
+      "MAX(age) FROM Emp",
+      "SELECT COUNT(*), COUNT(DISTINCT did), SUM(sal), AVG(sal), MIN(age), "
+      "MAX(age) FROM Emp WHERE sal < 0",
+  };
+  for (const char* sql : kQueries) {
+    for (bool compile : {true, false}) {
+      QueryOptions batch;
+      batch.execution_mode = exec::ExecMode::kBatch;
+      batch.compile_expressions = compile;
+      auto reference = db_.Query(sql, batch);
+      ASSERT_TRUE(reference.ok()) << sql << ": "
+                                  << reference.status().ToString();
+      for (size_t dop : {2u, 4u, 8u}) {
+        QueryOptions options = ParallelOptions(dop);
+        options.compile_expressions = compile;
+        const std::string label = std::string(sql) + " dop=" +
+                                  std::to_string(dop) +
+                                  (compile ? " compiled" : " interpreted");
+        auto plan = db_.PlanQuery(sql, options);
+        ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+        bool merged = false;
+        for (const exec::PhysicalPlan* root : exec::ParallelRegionRoots(*plan)) {
+          merged |= root->kind == exec::PhysOpKind::kHashAggregate;
+        }
+        EXPECT_TRUE(merged) << label << ": aggregate is not a region root";
+        auto result = db_.Query(sql, options);
+        ASSERT_TRUE(result.ok()) << label << ": "
+                                 << result.status().ToString();
+        testing::ExpectSameRows(result->rows, reference->rows, label);
+      }
+    }
+  }
+}
+
 // dop above the pool cap is clamped, dop 1 runs on the calling thread; the
 // same Database instance serves every mode interleaved back to back.
 TEST_F(ParallelExecTest, ModeInterleavingAndDopClamping) {
