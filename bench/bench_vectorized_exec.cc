@@ -1,13 +1,14 @@
 // E19: vectorized batch execution vs row-at-a-time iteration.
 //
-// Runs scan -> filter, scan -> filter -> hash join, and
-// scan -> filter -> hash join -> aggregate pipelines at several predicate
-// selectivities and batch capacities, executing the SAME physical plan in
-// batch mode and in row mode, which runs the same operators at batch
-// capacity 1. Batching amortizes per-call dispatch and per-batch setup
-// across a column-wise batch, so the win is largest on cheap-per-row
-// pipelines; both modes produce identical rows and identical ExecStats
-// (asserted here on every run).
+// Runs scan -> filter, scan -> filter -> hash join,
+// scan -> filter -> hash join -> aggregate, and
+// scan -> filter -> project -> distinct -> sort pipelines at several
+// predicate selectivities and batch capacities, executing the SAME
+// physical plan in batch mode and in row mode, which runs the same
+// operators at batch capacity 1. Batching amortizes per-call dispatch and
+// per-batch setup across a column-wise batch, so the win is largest on
+// cheap-per-row pipelines; both modes produce identical rows and identical
+// ExecStats (asserted here on every run).
 //
 // Usage: bench_vectorized_exec [output.json]
 // Writes machine-readable results as JSON (default BENCH_vectorized.json).
@@ -117,6 +118,10 @@ int main(int argc, char** argv) {
       {"scan_filter_hashjoin_agg",
        "SELECT f.grp, COUNT(*), SUM(f.v) FROM fact f, dim d "
        "WHERE f.k = d.id AND f.v < %d GROUP BY f.grp"},
+      // Plans as Sort(Distinct(Project(TableScan))): row/batch parity of
+      // the pass-through Distinct and the materializing Sort.
+      {"scan_filter_distinct_sort",
+       "SELECT DISTINCT f.grp FROM fact f WHERE f.v < %d ORDER BY f.grp"},
   };
   const int kCutoffs[] = {10, 100, 500};  // ~1%, ~10%, ~50% selectivity
   const size_t kCapacities[] = {64, 256, 1024, 4096};

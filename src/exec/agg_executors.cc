@@ -157,10 +157,8 @@ class HashAggregateExec : public Executor {
     results_ = table.Finalize();
   }
 
-  bool NextImpl(Row* out) override {
-    if (pos_ >= results_.size()) return false;
-    *out = std::move(results_[pos_++]);
-    return true;
+  bool NextBatchImpl(RowBatch* out) override {
+    return EmitRows(&results_, &pos_, out);
   }
 
  private:
@@ -175,43 +173,48 @@ class StreamAggregateExec : public Executor {
  public:
   StreamAggregateExec(const PhysicalPlan* plan, ExecContext* ctx,
                       std::unique_ptr<Executor> child)
-      : Executor(plan, ctx), child_(std::move(child)) {}
+      : Executor(plan, ctx), child_(std::move(child)), in_(child_.get()) {}
 
   void InitImpl() override {
     child_->Init();
+    in_.Reset();
     key_pos_ = GroupKeyPositions(*plan_);
     done_ = false;
     has_current_ = false;
   }
 
-  bool NextImpl(Row* out) override {
+  /// Appends finished groups until the batch is full. The input row that
+  /// ends a group starts the next one, which carries across calls.
+  bool NextBatchImpl(RowBatch* out) override {
     if (done_) return false;
+    out->Reset(plan_->output_cols.size(), batch_capacity_);
     Row in;
-    while (child_->Next(&in)) {
+    while (!out->full()) {
+      if (!in_.NextRow(&in)) {
+        done_ = true;
+        if (has_current_) {
+          out->AppendRow(FinalizeGroup(std::move(current_key_), current_));
+        } else if (plan_->group_by.empty()) {
+          // Scalar aggregate over empty input still yields one row.
+          out->AppendRow(FinalizeGroup({}, NewGroup(plan_->aggs)));
+        }
+        break;
+      }
       Row key;
       key.reserve(key_pos_.size());
       for (int p : key_pos_) key.push_back(in[p]);
       const bool emit = has_current_ && !RowEq()(key, current_key_);
-      if (emit) *out = FinalizeGroup(std::move(current_key_), current_);
+      if (emit) {
+        out->AppendRow(FinalizeGroup(std::move(current_key_), current_));
+      }
       if (emit || !has_current_) {
         current_key_ = std::move(key);
         current_ = NewGroup(plan_->aggs);
         has_current_ = true;
       }
       Accumulate(in);
-      if (emit) return true;
     }
-    done_ = true;
-    if (has_current_) {
-      *out = FinalizeGroup(std::move(current_key_), current_);
-      return true;
-    }
-    if (plan_->group_by.empty()) {
-      // Scalar aggregate over empty input still yields one row.
-      *out = FinalizeGroup({}, NewGroup(plan_->aggs));
-      return true;
-    }
-    return false;
+    return out->num_rows() > 0 && !ctx_->Failed();
   }
 
  private:
@@ -225,6 +228,7 @@ class StreamAggregateExec : public Executor {
   }
 
   std::unique_ptr<Executor> child_;
+  ChildCursor in_;
   std::vector<int> key_pos_;
   bool done_ = false;
   bool has_current_ = false;

@@ -3,15 +3,12 @@
 // the only implementations of these operators; every execution mode builds
 // them, at the batch capacity the builder sets per executor.
 //
-// Each operator moves RowBatches instead of single Rows, eliminating the
-// per-row virtual Next() call and the per-row std::vector<Value> copy of
-// the Volcano path. Filters only shrink the batch's selection vector;
-// projection and join output build compacted column vectors directly.
-//
-// Every batch executor also answers Next() by draining its current batch a
-// row at a time, so row-at-a-time parents (sort, stream aggregate,
-// nested-loop joins, set operations, ...) consume batch subtrees
-// transparently. The hash aggregate drains batches (agg_state.h).
+// Each operator moves RowBatches instead of single Rows and evaluates
+// expressions a column at a time, with no per-row virtual call and no
+// per-row std::vector<Value> copy. Filters only shrink the batch's
+// selection vector; projection and join output build compacted column
+// vectors directly. Every other operator produces batches too (executors.h)
+// but works on rows inside them.
 //
 // ExecStats exactness: operators increment rows_scanned / rows_joined /
 // index_lookups per row and touch buffer-pool pages in row order, and no
@@ -42,50 +39,16 @@ namespace {
 
 using plan::JoinType;
 
-/// Base for batch-native operators: implements Init()/Next() on top of the
-/// subclass's InitBatch()/NextBatch() so row-at-a-time consumers keep
-/// working.
-class BatchExecutor : public Executor {
- public:
-  using Executor::Executor;
-
-  void InitImpl() final {
-    InitBatch();
-    drain_.Reset(0, 0);
-    drain_pos_ = 0;
-  }
-
-  bool NextImpl(Row* out) final {
-    for (;;) {
-      if (drain_pos_ < drain_.ActiveSize()) {
-        drain_.StealActive(drain_pos_++, out);
-        return true;
-      }
-      // Bypass the instrumented NextBatch(): the drain is an internal
-      // adapter, not an operator boundary, and must not double-count.
-      if (!NextBatchImpl(&drain_)) return false;
-      drain_pos_ = 0;
-    }
-  }
-
- protected:
-  virtual void InitBatch() = 0;
-
- private:
-  RowBatch drain_;   ///< Current batch being drained row-wise via Next().
-  size_t drain_pos_ = 0;
-};
-
 /// Vectorized sequential / index-range scan with an optional residual
 /// filter evaluated batch-at-a-time. With a MorselSource attached, the
 /// sequential scan pulls page-aligned row ranges from the shared cursor
 /// instead of walking the whole table — the parallel mode's morsel-driven
 /// scan (index scans never run morsel-driven).
-class BatchScanExec : public BatchExecutor {
+class BatchScanExec : public Executor {
  public:
   BatchScanExec(const PhysicalPlan* plan, ExecContext* ctx,
                 MorselSource* morsels = nullptr)
-      : BatchExecutor(plan, ctx), morsels_(morsels) {
+      : Executor(plan, ctx), morsels_(morsels) {
     // Plans are column-pruned, so output position k copies storage
     // position storage_pos_[k].
     for (const plan::OutputCol& c : plan->output_cols) {
@@ -188,7 +151,7 @@ class BatchScanExec : public BatchExecutor {
   }
 
  protected:
-  void InitBatch() override {
+  void InitImpl() override {
     QOPT_FAULT_POINT_CTX("storage.scan.open", ctx_, );
     table_ = ctx_->storage->GetTable(plan_->table_id);
     QOPT_DCHECK(table_ != nullptr);
@@ -351,11 +314,11 @@ class BatchScanExec : public BatchExecutor {
 
 /// Vectorized filter: refines the child batch's selection vector in place;
 /// no data is copied or moved.
-class BatchFilterExec : public BatchExecutor {
+class BatchFilterExec : public Executor {
  public:
   BatchFilterExec(const PhysicalPlan* plan, ExecContext* ctx,
                   std::unique_ptr<Executor> child)
-      : BatchExecutor(plan, ctx), child_(std::move(child)) {}
+      : Executor(plan, ctx), child_(std::move(child)) {}
 
   bool NextBatchImpl(RowBatch* out) override {
     if (!child_->NextBatch(out)) return false;
@@ -369,7 +332,7 @@ class BatchFilterExec : public BatchExecutor {
   }
 
  protected:
-  void InitBatch() override {
+  void InitImpl() override {
     child_->Init();
     prog_ = nullptr;
     if (plan_->predicate) {
@@ -389,11 +352,11 @@ class BatchFilterExec : public BatchExecutor {
 
 /// Vectorized projection: evaluates each output expression over the whole
 /// input batch, emitting a compacted batch.
-class BatchProjectExec : public BatchExecutor {
+class BatchProjectExec : public Executor {
  public:
   BatchProjectExec(const PhysicalPlan* plan, ExecContext* ctx,
                    std::unique_ptr<Executor> child)
-      : BatchExecutor(plan, ctx), child_(std::move(child)) {}
+      : Executor(plan, ctx), child_(std::move(child)) {}
 
   bool NextBatchImpl(RowBatch* out) override {
     do {
@@ -402,7 +365,7 @@ class BatchProjectExec : public BatchExecutor {
     size_t n = in_.ActiveSize();
     // A compacted input batch (identity selection, guaranteed by join and
     // unfiltered scan outputs) lets pure column-ref projections move the
-    // input column instead of gathering a copy — precomputed in InitBatch.
+    // input column instead of gathering a copy — precomputed in InitImpl.
     bool identity = n == in_.num_rows();
     out->Reset(plan_->proj_exprs.size(), n);
     BatchEvalContext bev{&child_->colmap(), &in_, &ctx_->params};
@@ -425,7 +388,7 @@ class BatchProjectExec : public BatchExecutor {
   }
 
  protected:
-  void InitBatch() override {
+  void InitImpl() override {
     child_->Init();
     // move_src_[c] = input column position when proj_exprs[c] is a plain
     // column reference and no other output expression reads that column
@@ -480,12 +443,12 @@ class BatchProjectExec : public BatchExecutor {
 /// hash-partitioned into GracePartitions files, and each partition pair is
 /// joined through its own JoinBuildState. Spilled output is
 /// partition-major: a multiset match of the in-memory join.
-class BatchHashJoinExec : public BatchExecutor {
+class BatchHashJoinExec : public Executor {
  public:
   BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
                     std::unique_ptr<Executor> left,
                     std::unique_ptr<Executor> right)
-      : BatchExecutor(plan, ctx),
+      : Executor(plan, ctx),
         left_(std::move(left)),
         right_(std::move(right)) {
     InitShape();
@@ -496,7 +459,7 @@ class BatchHashJoinExec : public BatchExecutor {
   BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
                     std::unique_ptr<Executor> left,
                     std::shared_ptr<JoinBuildState> state)
-      : BatchExecutor(plan, ctx),
+      : Executor(plan, ctx),
         left_(std::move(left)),
         state_(std::move(state)) {
     InitShape();
@@ -531,7 +494,7 @@ class BatchHashJoinExec : public BatchExecutor {
   }
 
  protected:
-  void InitBatch() override {
+  void InitImpl() override {
     left_->Init();
     probe_.Reset(0, 0);
     probe_pos_ = 0;
@@ -660,10 +623,7 @@ class BatchHashJoinExec : public BatchExecutor {
         ++next_part_;
       }
       auto more = parts_.probe[next_part_ - 1]->ReadNext(&row);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
+      if (!ctx_->Check(more.status())) return false;
       if (!more.value()) {
         if (probe_.num_rows() > 0) break;  // probe these first
         state_.reset();  // partition pair done
@@ -705,10 +665,7 @@ class BatchHashJoinExec : public BatchExecutor {
     Row row;
     for (;;) {
       auto more = parts_.build[p]->ReadNext(&row);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return false;
-      }
+      if (!ctx_->Check(more.status())) return false;
       if (!more.value()) break;
       for (size_t c = 0; c < right_width_; ++c) {
         state_->build_cols[c].push_back(std::move(row[c]));

@@ -1,23 +1,11 @@
 #include "exec/executors_internal.h"
-#include "testing/fault_injection.h"
 
 namespace qopt::exec {
 
-// Default row-to-batch adapter: any operator can feed a batch consumer.
-// Pulls via NextImpl() — the adapter runs inside this operator's own
-// instrumented NextBatch() dispatch, so going through Next() would count
-// every row twice.
-bool Executor::NextBatchImpl(RowBatch* out) {
-  QOPT_FAULT_POINT_CTX("exec.batch.alloc", ctx_, false);
-  out->Reset(plan_->output_cols.size(), batch_capacity_);
-  Row r;
-  while (!out->full() && NextImpl(&r)) out->AppendRow(std::move(r));
-  return out->num_rows() > 0 && !ctx_->Failed();
-}
-
 namespace {
 
-/// Operators with a vectorized implementation.
+/// The column-at-a-time operators, marked [batch] by EXPLAIN. Every
+/// operator produces batches; these also evaluate them a column at a time.
 bool BatchSupported(PhysOpKind kind) {
   switch (kind) {
     case PhysOpKind::kTableScan:

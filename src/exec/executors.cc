@@ -7,6 +7,24 @@ namespace qopt::exec::internal {
 
 namespace {
 
+/// Shrinks `b`'s selection in place, as a filter does, to the live rows
+/// `keep` accepts. `keep` gets each row as a copy it may move from. False,
+/// with the rest of the batch unexamined, once `keep` has recorded a query
+/// error on `ctx`.
+template <typename Keep>
+bool SelectRows(RowBatch* b, ExecContext* ctx, Keep keep) {
+  std::vector<uint32_t>& sel = *b->mutable_selection();
+  size_t kept = 0;
+  Row row;
+  for (size_t k = 0; k < sel.size(); ++k) {
+    b->MaterializeActive(k, &row);
+    if (keep(row)) sel[kept++] = sel[k];
+    if (ctx->Failed()) return false;
+  }
+  sel.resize(kept);
+  return true;
+}
+
 /// Sort with graceful degradation: fully in-memory while the input fits,
 /// external merge sort once the spill policy is armed and the buffer
 /// exceeds its budget. Run generation writes sorted SpillFiles; runs above
@@ -35,8 +53,9 @@ class SortExec : public Executor {
     }
     const SpillConfig& sp = ctx_->spill;
     uint64_t buffered = 0, max_buffered = 0;
+    ChildCursor in(child_.get());
     Row r;
-    while (child_->Next(&r)) {
+    while (in.NextRow(&r)) {
       uint64_t rb = ModeledRowBytes(r);
       // Spill-armed, this operator's memory is bounded by construction
       // (the spill budget), so only the row budget/deadline is charged;
@@ -57,36 +76,45 @@ class SortExec : public Executor {
     if (!runs_.empty() && !ctx_->Failed()) PrepareMerge();
   }
 
-  bool NextImpl(Row* out) override {
+  bool NextBatchImpl(RowBatch* out) override {
+    if (runs_.empty()) return EmitRows(&rows_, &pos_, out);
     if (ctx_->Failed()) return false;
-    if (runs_.empty()) {
-      if (pos_ >= rows_.size()) return false;
-      *out = std::move(rows_[pos_++]);
-      return true;
-    }
-    // Streaming k-way merge across run heads and the in-memory tail. Only
-    // strictly-smaller rows displace the current best, so ties resolve to
-    // the earliest run (earliest input rows) and the merge is stable.
-    int best = -1;
-    for (size_t i = 0; i < heads_.size(); ++i) {
-      if (!heads_[i].has_value()) continue;
-      if (best < 0 || Less(*heads_[i], *heads_[static_cast<size_t>(best)])) {
-        best = static_cast<int>(i);
-      }
-    }
-    bool tail_best =
-        pos_ < rows_.size() &&
-        (best < 0 || Less(rows_[pos_], *heads_[static_cast<size_t>(best)]));
-    if (tail_best) {
+    out->Reset(plan_->output_cols.size(), batch_capacity_);
+    Row r;
+    while (!out->full() && MergeNext(&r)) out->AppendRow(std::move(r));
+    return out->num_rows() > 0 && !ctx_->Failed();
+  }
+
+ private:
+  /// Next row of the streaming k-way merge across run heads and the
+  /// in-memory tail; false at its end. Ties resolve to the earliest run
+  /// (earliest input rows) before the tail, so the merge is stable.
+  bool MergeNext(Row* out) {
+    const int best = MinHead(heads_);
+    const auto b = static_cast<size_t>(best);
+    if (pos_ < rows_.size() && (best < 0 || Less(rows_[pos_], *heads_[b]))) {
       *out = std::move(rows_[pos_++]);
       return true;
     }
     if (best < 0) return false;
-    *out = std::move(*heads_[static_cast<size_t>(best)]);
-    return Refill(static_cast<size_t>(best));
+    *out = std::move(*heads_[b]);
+    return ReadHead(runs_[b].get(), &heads_[b]);
   }
 
- private:
+  /// Index of the smallest of `heads`, -1 when all are exhausted. Only
+  /// strictly-smaller rows displace the current best, so ties resolve to
+  /// the earliest.
+  int MinHead(const std::vector<std::optional<Row>>& heads) const {
+    int best = -1;
+    for (size_t i = 0; i < heads.size(); ++i) {
+      if (!heads[i].has_value()) continue;
+      if (best < 0 || Less(*heads[i], *heads[static_cast<size_t>(best)])) {
+        best = static_cast<int>(i);
+      }
+    }
+    return best;
+  }
+
   bool Less(const Row& a, const Row& b) const {
     for (const auto& [pos, asc] : keys_) {
       int c = a[static_cast<size_t>(pos)].Compare(b[static_cast<size_t>(pos)]);
@@ -101,47 +129,46 @@ class SortExec : public Executor {
         [this](const Row& a, const Row& b) { return Less(a, b); });
   }
 
-  /// Sorts the buffer and writes it out as one run; false on error (the
-  /// Status is recorded on the context).
-  bool SpillRun() {
-    SortBuffer();
+  /// A new, empty run file; nullptr on error. Every fallible step of the
+  /// spill path records its Status on the context and reports failure.
+  std::unique_ptr<SpillFile> NewRun() {
     auto file_or = SpillFile::Create(ctx_->spill.dir);
-    if (!file_or.ok()) {
-      ctx_->Fail(file_or.status());
-      return false;
-    }
-    std::unique_ptr<SpillFile> file = std::move(file_or).value();
-    for (const Row& row : rows_) {
-      Status s = file->Append(row);
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
-        return false;
-      }
-    }
-    Status s = file->FinishWrite();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return false;
-    }
+    if (!ctx_->Check(file_or.status())) return nullptr;
+    return std::move(file_or).value();
+  }
+
+  /// Finishes writing run `file` and records it as a spill run.
+  bool SealRun(SpillFile* file) {
+    if (!ctx_->Check(file->FinishWrite())) return false;
     RecordSpill(1, file->bytes_written());
-    runs_.push_back(std::move(file));
-    rows_.clear();
     return true;
   }
 
-  /// Reloads heads_[i] from its run; false (stream over) only on error.
-  bool Refill(size_t i) {
+  /// Loads `file`'s next row into `*head`, or resets it at the end of the
+  /// file; false (stream over) only on error.
+  bool ReadHead(SpillFile* file, std::optional<Row>* head) {
     Row next;
-    auto more = runs_[i]->ReadNext(&next);
-    if (!more.ok()) {
-      ctx_->Fail(more.status());
-      return false;
-    }
+    auto more = file->ReadNext(&next);
+    if (!ctx_->Check(more.status())) return false;
     if (more.value()) {
-      heads_[i] = std::move(next);
+      *head = std::move(next);
     } else {
-      heads_[i].reset();
+      head->reset();
     }
+    return true;
+  }
+
+  /// Sorts the buffer and writes it out as one run.
+  bool SpillRun() {
+    SortBuffer();
+    std::unique_ptr<SpillFile> file = NewRun();
+    if (file == nullptr) return false;
+    for (const Row& row : rows_) {
+      if (!ctx_->Check(file->Append(row))) return false;
+    }
+    if (!SealRun(file.get())) return false;
+    runs_.push_back(std::move(file));
+    rows_.clear();
     return true;
   }
 
@@ -162,12 +189,10 @@ class SortExec : public Executor {
     if (ctx_->Failed()) return;
     heads_.assign(runs_.size(), std::nullopt);
     for (size_t i = 0; i < runs_.size(); ++i) {
-      Status s = runs_[i]->Rewind();
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
+      if (!ctx_->Check(runs_[i]->Rewind()) ||
+          !ReadHead(runs_[i].get(), &heads_[i])) {
         return;
       }
-      if (!Refill(i)) return;
     }
   }
 
@@ -176,58 +201,21 @@ class SortExec : public Executor {
       std::vector<std::unique_ptr<SpillFile>> group) {
     std::vector<std::optional<Row>> heads(group.size());
     for (size_t i = 0; i < group.size(); ++i) {
-      Status s = group[i]->Rewind();
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
+      if (!ctx_->Check(group[i]->Rewind()) ||
+          !ReadHead(group[i].get(), &heads[i])) {
         return nullptr;
       }
-      Row r;
-      auto more = group[i]->ReadNext(&r);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
+    }
+    std::unique_ptr<SpillFile> out = NewRun();
+    if (out == nullptr) return nullptr;
+    for (int best = MinHead(heads); best >= 0; best = MinHead(heads)) {
+      const auto b = static_cast<size_t>(best);
+      if (!ctx_->Check(out->Append(*heads[b])) ||
+          !ReadHead(group[b].get(), &heads[b])) {
         return nullptr;
       }
-      if (more.value()) heads[i] = std::move(r);
     }
-    auto out_or = SpillFile::Create(ctx_->spill.dir);
-    if (!out_or.ok()) {
-      ctx_->Fail(out_or.status());
-      return nullptr;
-    }
-    std::unique_ptr<SpillFile> out = std::move(out_or).value();
-    for (;;) {
-      int best = -1;
-      for (size_t i = 0; i < heads.size(); ++i) {
-        if (!heads[i].has_value()) continue;
-        if (best < 0 || Less(*heads[i], *heads[static_cast<size_t>(best)])) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;
-      size_t b = static_cast<size_t>(best);
-      Status s = out->Append(*heads[b]);
-      if (!s.ok()) {
-        ctx_->Fail(std::move(s));
-        return nullptr;
-      }
-      Row r;
-      auto more = group[b]->ReadNext(&r);
-      if (!more.ok()) {
-        ctx_->Fail(more.status());
-        return nullptr;
-      }
-      if (more.value()) {
-        heads[b] = std::move(r);
-      } else {
-        heads[b].reset();
-      }
-    }
-    Status s = out->FinishWrite();
-    if (!s.ok()) {
-      ctx_->Fail(std::move(s));
-      return nullptr;
-    }
-    RecordSpill(1, out->bytes_written());
+    if (!SealRun(out.get())) return nullptr;
     return out;
   }
 
@@ -250,15 +238,13 @@ class DistinctExec : public Executor {
     seen_.clear();
   }
 
-  bool NextImpl(Row* out) override {
-    while (child_->Next(out)) {
-      if (seen_.insert(*out).second) {
-        if (!ctx_->GovernorCharge(1, ModeledRowBytes(*out))) return false;
-        ChargeMem(ModeledRowBytes(*out));
-        return true;
-      }
-    }
-    return false;
+  /// Passes the child's batch on, its selection shrunk to first-seen rows.
+  bool NextBatchImpl(RowBatch* out) override {
+    return child_->NextBatch(out) &&
+           SelectRows(out, ctx_, [this](Row& row) {
+             auto [it, fresh] = seen_.insert(std::move(row));
+             return fresh && ChargeRow(*it);
+           });
   }
 
  private:
@@ -277,10 +263,9 @@ class UnionAllExec : public Executor {
     current_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    while (current_ < children_.size()) {
-      if (children_[current_]->Next(out)) return true;
-      ++current_;
+  bool NextBatchImpl(RowBatch* out) override {
+    for (; current_ < children_.size(); ++current_) {
+      if (children_[current_]->NextBatch(out)) return true;
     }
     return false;
   }
@@ -291,7 +276,9 @@ class UnionAllExec : public Executor {
 };
 
 /// EXCEPT / INTERSECT: hashes the right input, streams distinct left rows
-/// filtered by (non-)membership. Set semantics per the SQL standard.
+/// filtered by (non-)membership. Set semantics per the SQL standard. Both
+/// hash sets, the right rows and the emitted left rows, are charged to the
+/// governor, as Distinct's set is.
 class HashSetOpExec : public Executor {
  public:
   HashSetOpExec(const PhysicalPlan* plan, ExecContext* ctx,
@@ -306,21 +293,21 @@ class HashSetOpExec : public Executor {
     right_->Init();
     right_rows_.clear();
     emitted_.clear();
+    ChildCursor in(right_.get());
     Row r;
-    while (right_->Next(&r)) {
-      if (!ctx_->GovernorCharge(1, ModeledRowBytes(r))) break;
-      ChargeMem(ModeledRowBytes(r));
-      right_rows_.insert(std::move(r));
-    }
+    while (in.NextRow(&r) && ChargeRow(r)) right_rows_.insert(std::move(r));
   }
 
-  bool NextImpl(Row* out) override {
-    bool want_member = plan_->kind == PhysOpKind::kHashIntersect;
-    while (left_->Next(out)) {
-      if ((right_rows_.count(*out) > 0) != want_member) continue;
-      if (emitted_.insert(*out).second) return true;
-    }
-    return false;
+  /// Passes the left child's batch on, its selection shrunk to the rows
+  /// (not) in the right set and not emitted before.
+  bool NextBatchImpl(RowBatch* out) override {
+    const bool want_member = plan_->kind == PhysOpKind::kHashIntersect;
+    return left_->NextBatch(out) &&
+           SelectRows(out, ctx_, [&](Row& row) {
+             if ((right_rows_.count(row) > 0) != want_member) return false;
+             auto [it, fresh] = emitted_.insert(std::move(row));
+             return fresh && ChargeRow(*it);
+           });
   }
 
  private:
@@ -341,10 +328,13 @@ class LimitExec : public Executor {
     produced_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    if (produced_ >= plan_->limit) return false;
-    if (!child_->Next(out)) return false;
-    ++produced_;
+  /// Passes the child's batch on, its selection cut to the rows left.
+  bool NextBatchImpl(RowBatch* out) override {
+    if (produced_ >= plan_->limit || !child_->NextBatch(out)) return false;
+    std::vector<uint32_t>* sel = out->mutable_selection();
+    const auto left = static_cast<size_t>(plan_->limit - produced_);
+    if (sel->size() > left) sel->resize(left);
+    produced_ += static_cast<int64_t>(sel->size());
     return true;
   }
 

@@ -1,19 +1,19 @@
 // Volcano-style iterator execution engine (paper Section 2: "physical
 // operators are pieces of code used as building blocks for execution"),
-// plus a vectorized batch path.
+// vectorized: the iterator yields batches of rows.
 //
-// Each PhysicalPlan node maps to an Executor producing Rows via
-// Init()/Next(). Init() may be called again to rescan (used by the Apply
-// operator, which re-executes its inner subtree per outer tuple — the
+// Each PhysicalPlan node maps to an Executor producing RowBatches via
+// Init()/NextBatch(). Init() may be called again to rescan (used by the
+// Apply operator, which re-executes its inner subtree per outer tuple — the
 // tuple-iteration semantics of §4.2.2).
 //
-// Every executor additionally supports NextBatch(): the default adapter
-// loops Next(), while the hot operators (scan, filter, project, hash join)
-// exist only as column-at-a-time implementations. Each executor carries a
-// batch capacity set by the builder: the context's capacity, or 1 in the
-// subtrees that must not read ahead of their consumer (see ExecMode). At
-// capacity 1 the vectorized operators run row-at-a-time, so every mode
-// produces identical results and identical ExecStats.
+// NextBatch() is the only way rows leave an operator. Each executor carries
+// a batch capacity set by the builder: the context's capacity, or 1 in the
+// subtrees that must not read ahead of their consumer (see ExecMode). A
+// child never has a larger capacity than its parent, so an operator may
+// hand its child's batch straight on. At capacity 1 every operator runs
+// row-at-a-time, so every mode produces identical results and identical
+// ExecStats.
 #ifndef QOPT_EXEC_EXECUTORS_H_
 #define QOPT_EXEC_EXECUTORS_H_
 
@@ -85,8 +85,8 @@ struct ExecStats {
 struct OperatorStats {
   uint64_t inits = 0;        ///< Init calls (rescans under Apply count).
   uint64_t rows_out = 0;     ///< Rows produced to the parent.
-  uint64_t batches_out = 0;  ///< Batches produced (vectorized path only).
-  uint64_t next_calls = 0;   ///< Next/NextBatch invocations.
+  uint64_t batches_out = 0;  ///< Batches produced.
+  uint64_t next_calls = 0;   ///< NextBatch invocations.
   uint64_t wall_ns = 0;      ///< Inclusive wall time (children included).
   uint64_t peak_mem_bytes = 0;  ///< Modeled materialization high-water mark.
   // Parallel mode: worker executor trees share this node's plan pointer;
@@ -113,7 +113,7 @@ struct OperatorStats {
 };
 
 /// Stats per plan node. Value-pointer stability (node-based map) lets each
-/// executor cache its entry across Next calls.
+/// executor cache its entry across NextBatch calls.
 using OperatorStatsMap = std::unordered_map<const PhysicalPlan*, OperatorStats>;
 
 /// q-error of a cardinality estimate (Datta et al.: the divergence metric
@@ -187,13 +187,13 @@ struct ExecContext {
   /// Per-query resource governor (deadline + row/memory budgets); null when
   /// the query runs ungoverned. Shared with the optimizer for this query.
   ResourceGovernor* governor = nullptr;
-  /// Sticky first error. Next()/NextBatch() return false (end of stream)
-  /// and record the cause here, because the iterator signature cannot carry
-  /// a Status; ExecuteAll surfaces it as the query's Result.
+  /// Sticky first error. NextBatch() returns false (end of stream) and
+  /// records the cause here, because the iterator signature cannot carry a
+  /// Status; ExecuteAll surfaces it as the query's Result.
   Status status;
   /// EXPLAIN ANALYZE: when set, every executor records OperatorStats into
   /// `op_stats` (keyed by plan node). Off by default — the only cost then
-  /// is one predictable branch per Init/Next/NextBatch dispatch.
+  /// is one predictable branch per Init/NextBatch dispatch.
   bool analyze = false;
   OperatorStatsMap op_stats;
   /// Compile expressions to vectorized programs, in every mode
@@ -276,16 +276,16 @@ inline uint64_t ModeledGroupBytes(size_t key_cols, size_t num_aggs) {
          kAccBytes * static_cast<uint64_t>(num_aggs);
 }
 
-/// Iterator-model operator.
+/// Iterator-model operator producing batches.
 ///
-/// The public Init/Next/NextBatch entry points are non-virtual dispatchers
+/// The public Init/NextBatch entry points are non-virtual dispatchers
 /// (template method): when ExecContext::analyze is off they forward
 /// straight to the virtual *Impl hooks, and when it is on they additionally
 /// record OperatorStats (rows/batches out, inclusive wall time) around the
-/// hook. Subclasses implement InitImpl/NextImpl/NextBatchImpl and call the
-/// *public* methods on their children, so instrumentation covers every
-/// operator boundary exactly once — including the parallel worker trees,
-/// which are built from the same classes.
+/// hook. Subclasses implement InitImpl/NextBatchImpl and call the *public*
+/// methods on their children, so instrumentation covers every operator
+/// boundary exactly once — including the parallel worker trees, which are
+/// built from the same classes.
 class Executor {
  public:
   Executor(const PhysicalPlan* plan, ExecContext* ctx)
@@ -313,25 +313,9 @@ class Executor {
             .count());
   }
 
-  /// Produces the next row; false at end of stream.
-  bool Next(Row* out) {
-    if (ostats_ == nullptr) return NextImpl(out);
-    auto t0 = std::chrono::steady_clock::now();
-    bool ok = NextImpl(out);
-    ostats_->wall_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    ++ostats_->next_calls;
-    if (ok) ++ostats_->rows_out;
-    return ok;
-  }
-
-  /// Produces the next batch of rows; false at end of stream. A true
-  /// return may carry zero live rows (a fully filtered batch) — consumers
-  /// must loop. The default implementation adapts NextImpl(), so every
-  /// operator can feed a batch consumer; batch-native operators override
-  /// NextBatchImpl.
+  /// Produces the next batch of at most the executor's capacity rows; false
+  /// at end of stream. A true return may carry zero live rows (a fully
+  /// filtered batch) — consumers must loop.
   bool NextBatch(RowBatch* out) {
     if (ostats_ == nullptr) return NextBatchImpl(out);
     auto t0 = std::chrono::steady_clock::now();
@@ -358,11 +342,21 @@ class Executor {
 
  protected:
   virtual void InitImpl() = 0;
-  virtual bool NextImpl(Row* out) = 0;
-  /// Default row-to-batch adapter; defined in executor_builder.cc. Loops
-  /// NextImpl (not Next) so the operator's own rows are counted once, by
-  /// the dispatcher that drives it.
-  virtual bool NextBatchImpl(RowBatch* out);
+  virtual bool NextBatchImpl(RowBatch* out) = 0;
+
+  /// Moves `rows`, from `*pos` on, into `out` until it is full: the output
+  /// of the operators that materialize their result before emitting it
+  /// (sort, hash aggregate, parallel gather). False once every row is out.
+  /// Each row's storage is freed as it goes out, so the emitted part of
+  /// `rows` does not stay allocated beside the consumer's copy.
+  bool EmitRows(std::vector<Row>* rows, size_t* pos, RowBatch* out) {
+    if (ctx_->Failed() || *pos >= rows->size()) return false;
+    out->Reset(plan_->output_cols.size(), batch_capacity_);
+    while (!out->full() && *pos < rows->size()) {
+      out->AppendRow(Row(std::move((*rows)[(*pos)++])));
+    }
+    return true;
+  }
 
   /// Records whether one of this operator's expression slots runs compiled
   /// or interpreted (EXPLAIN ANALYZE only). Call once per slot per Init,
@@ -417,8 +411,13 @@ class Executor {
     }
   }
 
-  EvalContext MakeEval(const Row& row) const {
-    return EvalContext{&colmap_, &row, &ctx_->params};
+  /// Charges one held row (a hash-set entry, a buffered input row) to the
+  /// governor and to this operator's peak memory; false (with the error
+  /// recorded) on exhaustion.
+  bool ChargeRow(const Row& row) {
+    if (!ctx_->GovernorCharge(1, ModeledRowBytes(row))) return false;
+    ChargeMem(ModeledRowBytes(row));
+    return true;
   }
 
   const PhysicalPlan* plan_;

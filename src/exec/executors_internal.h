@@ -20,6 +20,36 @@ inline size_t ReserveHint(double est_rows, size_t cap = 1u << 20) {
   return std::min(cap, static_cast<size_t>(est_rows));
 }
 
+/// Reads a child executor's rows one at a time, a batch at a time beneath:
+/// how the operators that work row by row (the non-hash joins, Apply, the
+/// streaming aggregate, sort, set operations) consume their inputs. The
+/// rows are moved out of the child's batch, so each is read once.
+class ChildCursor {
+ public:
+  explicit ChildCursor(Executor* child) : child_(child) {}
+
+  /// Forgets the buffered batch; call after (re)initializing the child.
+  void Reset() {
+    batch_.Reset(0, 0);
+    pos_ = 0;
+  }
+
+  /// Moves the child's next live row into `*out`; false at end of stream.
+  bool NextRow(Row* out) {
+    while (pos_ >= batch_.ActiveSize()) {
+      if (!child_->NextBatch(&batch_)) return false;
+      pos_ = 0;
+    }
+    batch_.StealActive(pos_++, out);
+    return true;
+  }
+
+ private:
+  Executor* child_;
+  RowBatch batch_;
+  size_t pos_ = 0;
+};
+
 std::unique_ptr<Executor> NewSortExec(const PhysicalPlan* plan,
                                       ExecContext* ctx,
                                       std::unique_ptr<Executor> child);
@@ -48,8 +78,8 @@ std::unique_ptr<Executor> NewHashSetOpExec(const PhysicalPlan* plan,
                                            std::unique_ptr<Executor> left,
                                            std::unique_ptr<Executor> right);
 
-// Vectorized (batch-native) implementations; see batch_executors.cc. The
-// only implementations of scan, filter, projection and hash join: the
+// Column-at-a-time implementations; see batch_executors.cc. The only
+// implementations of scan, filter, projection and hash join: the
 // builder runs them at batch capacity 1 where read-ahead must not happen.
 std::unique_ptr<Executor> NewBatchScanExec(const PhysicalPlan* plan,
                                            ExecContext* ctx);

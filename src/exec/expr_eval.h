@@ -1,7 +1,8 @@
 // Runtime expression evaluation with SQL three-valued logic.
 //
 // Two entry points: the scalar evaluator (EvalExpr / EvalPredicate) used by
-// the row-at-a-time Volcano operators, and the batch evaluator
+// the operators that work on whole rows (non-hash joins, Apply, the
+// streaming aggregate), and the batch evaluator
 // (EvalExprBatch / EvalPredicateBatch) used by the vectorized operators,
 // which evaluates an expression over every live row of a RowBatch in one
 // call. Both implement identical SQL semantics.

@@ -156,10 +156,8 @@ class ParallelGatherExec : public Executor {
     wctx_.clear();
   }
 
-  bool NextImpl(Row* out) override {
-    if (ctx_->Failed() || pos_ >= results_.size()) return false;
-    *out = std::move(results_[pos_++]);
-    return true;
+  bool NextBatchImpl(RowBatch* out) override {
+    return EmitRows(&results_, &pos_, out);
   }
 
  private:

@@ -6,10 +6,12 @@
 // the selection vector. Operators that construct new rows (projection,
 // join output) emit compacted batches whose selection is the identity.
 //
-// Row-at-a-time operators and batch-native operators interoperate through
-// adapters (Executor::NextBatch's default implementation loops Next(), and
-// batch-native executors materialize rows on demand), so a plan may mix
-// both kinds freely.
+// Every executor produces RowBatches (Executor::NextBatch). Operators that
+// work on whole rows (sort, the non-hash joins, the streaming aggregate)
+// read their children's batches a row at a time through a ChildCursor and
+// append rows to their output batch; pass-through operators (limit,
+// distinct, set operations) hand their child's batch on with a shrunk
+// selection.
 #ifndef QOPT_EXEC_ROW_BATCH_H_
 #define QOPT_EXEC_ROW_BATCH_H_
 
@@ -62,7 +64,7 @@ class RowBatch {
   /// Cell at column `c`, physical row `row`.
   const Value& At(size_t c, uint32_t row) const { return columns_[c][row]; }
 
-  /// Appends `row` as a live physical row (row-to-batch adapter).
+  /// Appends `row` as a live physical row.
   void AppendRow(const Row& row) {
     for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(row[c]);
     CommitRow();
@@ -94,7 +96,7 @@ class RowBatch {
     for (size_t i = 0; i < n; ++i) sel_[i] = static_cast<uint32_t>(i);
   }
 
-  /// Copies the k-th live row into `*out` (batch-to-row adapter).
+  /// Copies the k-th live row into `*out`.
   void MaterializeActive(size_t k, Row* out) const {
     uint32_t r = sel_[k];
     out->clear();

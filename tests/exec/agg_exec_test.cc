@@ -127,6 +127,28 @@ TEST_P(AggAlgTest, CountDistinct) {
   EXPECT_EQ(rows[0][0].AsInt(), 3);  // 10, 20, 30
 }
 
+TEST_P(AggAlgTest, SameResultsAtEveryCapacity) {
+  // Four groups at capacity 2 end a batch inside the group stream, and the
+  // scalar aggregate over empty input still yields its one row.
+  std::vector<plan::AggItem> aggs = {
+      Item(AggFunc::kCountStar, nullptr, 0, TypeId::kInt64),
+      Item(AggFunc::kSum, Col(0, 2), 1, TypeId::kInt64)};
+  PhysPtr grouped = BuildAgg({{0, 1}}, aggs,
+                             {{{0, 1}, TypeId::kInt64, "dept"},
+                              {{9, 0}, TypeId::kInt64, "count"},
+                              {{9, 1}, TypeId::kInt64, "sum"}});
+  EXPECT_EQ(RunAtEveryCapacity(grouped).rows.size(), 4u);
+  PhysPtr scan = EmpScan(Eq(Col(0, 0), Lit(-99)));
+  std::vector<plan::OutputCol> cols = {{{9, 0}, TypeId::kInt64, "cnt"},
+                                       {{9, 1}, TypeId::kInt64, "sum"}};
+  PhysPtr scalar = GetParam() ? MakeHashAggregate(scan, {}, aggs, cols)
+                              : MakeStreamAggregate(scan, {}, aggs, cols);
+  std::vector<Row> rows = RunAtEveryCapacity(scalar).rows;
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsInt(), 0);
+  EXPECT_TRUE(rows[0][1].is_null());
+}
+
 INSTANTIATE_TEST_SUITE_P(HashAndStream, AggAlgTest,
                          ::testing::Values(true, false),
                          [](const auto& info) {

@@ -244,36 +244,12 @@ TEST_F(BatchEvalTest, PredicateBatchCompactsSelection) {
 
 class BatchOperatorTest : public ExecTestBase {
  protected:
-  struct ModeResult {
-    std::vector<Row> rows;
-    ExecStats stats;
-  };
-
-  ModeResult RunMode(const PhysPtr& plan, ExecMode mode,
-                     size_t batch_capacity = kDefaultBatchCapacity) {
-    ExecContext ctx;
-    ctx.storage = storage_.get();
-    ctx.catalog = &catalog_;
-    ctx.mode = mode;
-    ctx.batch_capacity = batch_capacity;
-    ModeResult r;
-    r.rows = ExecuteAll(plan, &ctx).value();
-    r.stats = ctx.stats;
-    return r;
-  }
-
   void ExpectParity(const PhysPtr& plan, size_t batch_capacity =
                                              kDefaultBatchCapacity) {
     ModeResult row = RunMode(plan, ExecMode::kRow);
     ModeResult batch = RunMode(plan, ExecMode::kBatch, batch_capacity);
     ExpectSameRows(batch.rows, row.rows);
-    EXPECT_EQ(batch.stats.rows_scanned, row.stats.rows_scanned);
-    EXPECT_EQ(batch.stats.rows_joined, row.stats.rows_joined);
-    EXPECT_EQ(batch.stats.index_lookups, row.stats.index_lookups);
-    EXPECT_EQ(batch.stats.subquery_executions, row.stats.subquery_executions);
-    EXPECT_EQ(batch.stats.page_touches, row.stats.page_touches);
-    EXPECT_DOUBLE_EQ(batch.stats.modeled_pages_read,
-                     row.stats.modeled_pages_read);
+    ExpectSameStats(batch.stats, row.stats);
   }
 };
 
@@ -357,14 +333,14 @@ TEST_F(BatchOperatorTest, LimitFallsBackToRowMode) {
   EXPECT_EQ(batch.stats.rows_scanned, 2u);
 }
 
-TEST_F(BatchOperatorTest, RowOperatorAboveBatchChildren) {
-  // Sort has no batch implementation: it consumes its vectorized child
-  // through the batch-to-row adapter, and ExecuteAll drains the row root
-  // through the row-to-batch adapter.
+TEST_F(BatchOperatorTest, SortOverVectorizedScanKeepsOrder) {
+  // Sort reads its vectorized child's batches through a child cursor and
+  // fills its own output batches from the sorted rows, which ExecuteAll
+  // drains like any other root.
   PhysPtr sort = MakeSortExec(EmpScan(), {{{0, 2}, /*ascending=*/false}});
   ModeResult batch = RunMode(sort, ExecMode::kBatch);
   ASSERT_EQ(batch.rows.size(), 5u);
-  EXPECT_EQ(batch.rows[0][2].AsInt(), 500);  // order preserved through adapters
+  EXPECT_EQ(batch.rows[0][2].AsInt(), 500);  // order preserved in the batches
   EXPECT_EQ(batch.rows[4][2].AsInt(), 100);
   ExpectParity(sort);
 }
@@ -385,11 +361,10 @@ TEST_F(BatchOperatorTest, AggregateAboveBatchChildren) {
   ExpectParity(agg);
 }
 
-TEST_F(BatchOperatorTest, DefaultNextBatchAdapterOnRowExecutor) {
-  // Sort is a row-at-a-time operator: driving it through NextBatch goes
-  // through the default adapter, which must loop Next() and fill a batch
-  // up to the executor's capacity — ctx.batch_capacity in batch mode, 1 in
-  // row mode.
+TEST_F(BatchOperatorTest, SortBatchesCappedAtCapacity) {
+  // Sort materializes its input and then emits it in batches that must
+  // fill up to the executor's capacity and never beyond it —
+  // ctx.batch_capacity in batch mode, 1 in row mode.
   PhysPtr plan = MakeSortExec(EmpScan(), {{{0, 0}, /*ascending=*/true}});
   for (ExecMode mode : {ExecMode::kBatch, ExecMode::kRow}) {
     SCOPED_TRACE(static_cast<int>(mode));

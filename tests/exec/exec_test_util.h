@@ -84,6 +84,54 @@ class ExecTestBase : public ::testing::Test {
     return ExecuteAll(plan, &ctx).value();
   }
 
+  struct ModeResult {
+    std::vector<Row> rows;
+    ExecStats stats;
+  };
+
+  ModeResult RunMode(const PhysPtr& plan, ExecMode mode,
+                     size_t batch_capacity = kDefaultBatchCapacity) {
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.mode = mode;
+    ctx.batch_capacity = batch_capacity;
+    ModeResult r;
+    r.rows = ExecuteAll(plan, &ctx).value();
+    r.stats = ctx.stats;
+    return r;
+  }
+
+  static void ExpectSameStats(const ExecStats& got, const ExecStats& want) {
+    EXPECT_EQ(got.rows_scanned, want.rows_scanned);
+    EXPECT_EQ(got.rows_joined, want.rows_joined);
+    EXPECT_EQ(got.index_lookups, want.index_lookups);
+    EXPECT_EQ(got.subquery_executions, want.subquery_executions);
+    EXPECT_EQ(got.page_touches, want.page_touches);
+    EXPECT_DOUBLE_EQ(got.modeled_pages_read, want.modeled_pages_read);
+  }
+
+  // Runs `plan` in row mode and in batch mode at capacities 2 and 1024,
+  // expects the same rows in the same order and the same ExecStats from
+  // each, and returns the row-mode run. Capacity 2 puts batch boundaries
+  // inside the tiny tables, and inside one outer row's output.
+  ModeResult RunAtEveryCapacity(const PhysPtr& plan) {
+    ModeResult row = RunMode(plan, ExecMode::kRow);
+    for (size_t capacity : {size_t{2}, kDefaultBatchCapacity}) {
+      SCOPED_TRACE("batch capacity " + std::to_string(capacity));
+      ModeResult batch = RunMode(plan, ExecMode::kBatch, capacity);
+      EXPECT_EQ(batch.rows.size(), row.rows.size());
+      for (size_t i = 0; i < std::min(batch.rows.size(), row.rows.size());
+           ++i) {
+        EXPECT_TRUE(RowEq()(batch.rows[i], row.rows[i]))
+            << "row " << i << ": got " << RowToString(batch.rows[i])
+            << ", want " << RowToString(row.rows[i]);
+      }
+      ExpectSameStats(batch.stats, row.stats);
+    }
+    return row;
+  }
+
   // Order-insensitive row comparison.
   static void ExpectSameRows(std::vector<Row> got, std::vector<Row> want) {
     auto sorter = [](const Row& a, const Row& b) {

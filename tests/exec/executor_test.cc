@@ -121,11 +121,51 @@ TEST_F(BasicOpsTest, ExecutorRescan) {
   std::unique_ptr<Executor> exec = BuildExecutor(s, &ctx);
   for (int round = 0; round < 2; ++round) {
     exec->Init();
-    int n = 0;
-    Row r;
-    while (exec->Next(&r)) ++n;
-    EXPECT_EQ(n, 5);
+    size_t n = 0;
+    RowBatch b;
+    while (exec->NextBatch(&b)) n += b.ActiveSize();
+    EXPECT_EQ(n, 5u);
   }
+}
+
+TEST_F(BasicOpsTest, HashExceptChargesEmittedRows) {
+  // A set operation holds its right input and every left row it emitted in
+  // hash sets; both count against the governor's row budget, as Distinct's
+  // set does. 100 more emp ids make 105 distinct left rows, none a dept id.
+  std::vector<Row> more;
+  for (int64_t id = 100; id < 200; ++id) {
+    more.push_back({Value::Int(id), Value::Int(10), Value::Int(id)});
+  }
+  storage_->GetTable(0)->AppendUnchecked(std::move(more));
+  std::vector<plan::OutputCol> cols = {{{9, 0}, TypeId::kInt64, "id"}};
+  PhysPtr except = MakeSetOpExec(
+      PhysOpKind::kHashExcept, MakeProjectExec(EmpScan(), {Col(0, 0)}, cols),
+      MakeProjectExec(DeptScan(), {Col(1, 0)}, cols), cols);
+  plan::AggItem count;
+  count.func = ast::AggFunc::kCountStar;
+  count.output = {8, 0};
+  count.type = TypeId::kInt64;
+  count.name = "cnt";
+  PhysPtr agg = MakeHashAggregate(except, {}, {count},
+                                  {{{8, 0}, TypeId::kInt64, "cnt"}});
+  auto run = [&](uint64_t max_rows) {
+    GovernorOptions options;
+    options.max_rows = max_rows;
+    ResourceGovernor governor(options);
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.governor = &governor;
+    return ExecuteAll(agg, &ctx);
+  };
+  // 3 right rows + 105 emitted rows + 1 group + 1 result row.
+  Result<std::vector<Row>> fits = run(110);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ((*fits)[0][0].AsInt(), 105);
+  // The right set fits 50 rows; with the emitted rows the budget trips.
+  Result<std::vector<Row>> tripped = run(50);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(BasicOpsTest, UnionAllConcatenatesChildren) {
@@ -159,13 +199,13 @@ TEST_F(BasicOpsTest, RepeatedScansHitBufferPool) {
   ctx.catalog = &catalog_;
   PhysPtr scan = EmpScan();  // must outlive the executor (raw plan pointers)
   std::unique_ptr<Executor> exec = BuildExecutor(scan, &ctx);
-  Row r;
+  RowBatch b;
   exec->Init();
-  while (exec->Next(&r)) {
+  while (exec->NextBatch(&b)) {
   }
   double after_first = ctx.stats.modeled_pages_read;
   exec->Init();
-  while (exec->Next(&r)) {
+  while (exec->NextBatch(&b)) {
   }
   EXPECT_DOUBLE_EQ(ctx.stats.modeled_pages_read, after_first);
   EXPECT_GT(ctx.stats.page_touches, static_cast<uint64_t>(after_first));

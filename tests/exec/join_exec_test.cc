@@ -6,7 +6,9 @@ namespace {
 using plan::JoinType;
 
 // All equi-join algorithms must produce identical results; parameterize
-// over the operator kind.
+// over the operator kind. Each case runs in row mode and in batch mode at
+// capacities 2 and 1024 (RunAtEveryCapacity), which must agree on rows and
+// ExecStats.
 enum class JoinAlg { kNL, kHash, kMerge, kIndexNL };
 
 class JoinAlgTest : public ExecTestBase,
@@ -36,7 +38,8 @@ class JoinAlgTest : public ExecTestBase,
 };
 
 TEST_P(JoinAlgTest, InnerJoin) {
-  std::vector<Row> rows = Run(BuildJoin(JoinType::kInner));
+  std::vector<Row> rows =
+      RunAtEveryCapacity(BuildJoin(JoinType::kInner)).rows;
   // emps 1,2 match dept 10; emp 3 matches dept 20; emp 4 (dept 30) and
   // emp 5 (NULL) have no match.
   ASSERT_EQ(rows.size(), 3u);
@@ -47,7 +50,8 @@ TEST_P(JoinAlgTest, InnerJoin) {
 }
 
 TEST_P(JoinAlgTest, LeftOuterJoinPadsUnmatched) {
-  std::vector<Row> rows = Run(BuildJoin(JoinType::kLeftOuter));
+  std::vector<Row> rows =
+      RunAtEveryCapacity(BuildJoin(JoinType::kLeftOuter)).rows;
   ASSERT_EQ(rows.size(), 5u);
   int padded = 0;
   for (const Row& r : rows) {
@@ -60,14 +64,16 @@ TEST_P(JoinAlgTest, LeftOuterJoinPadsUnmatched) {
 }
 
 TEST_P(JoinAlgTest, SemiJoin) {
-  std::vector<Row> rows = Run(BuildJoin(JoinType::kSemi));
+  std::vector<Row> rows =
+      RunAtEveryCapacity(BuildJoin(JoinType::kSemi)).rows;
   ASSERT_EQ(rows.size(), 3u);
   for (const Row& r : rows) EXPECT_EQ(r.size(), 3u);  // left columns only
 }
 
 TEST_P(JoinAlgTest, AntiJoin) {
   if (GetParam() == JoinAlg::kMerge) GTEST_SKIP() << "anti not via merge";
-  std::vector<Row> rows = Run(BuildJoin(JoinType::kAnti));
+  std::vector<Row> rows =
+      RunAtEveryCapacity(BuildJoin(JoinType::kAnti)).rows;
   ASSERT_EQ(rows.size(), 2u);  // emp 4 (dept 30), emp 5 (NULL dept)
 }
 
@@ -91,6 +97,26 @@ TEST_F(JoinEdgeCaseTest, CrossJoin) {
   PhysPtr cross =
       MakeNestedLoopJoin(JoinType::kCross, EmpScan(), DeptScan(), nullptr);
   EXPECT_EQ(Run(cross).size(), 15u);
+}
+
+TEST_F(JoinEdgeCaseTest, CrossJoinOutputStraddlesBatches) {
+  // Each emp row has 3 dept matches, so at capacity 2 one left row's
+  // output straddles two batches: the join carries the pending rows over.
+  PhysPtr cross =
+      MakeNestedLoopJoin(JoinType::kCross, EmpScan(), DeptScan(), nullptr);
+  EXPECT_EQ(RunAtEveryCapacity(cross).rows.size(), 15u);
+  ExecContext ctx;
+  ctx.storage = storage_.get();
+  ctx.catalog = &catalog_;
+  ctx.mode = ExecMode::kBatch;
+  ctx.batch_capacity = 2;
+  std::unique_ptr<Executor> exec = BuildExecutor(cross, &ctx);
+  exec->Init();
+  std::vector<size_t> sizes;
+  RowBatch b;
+  while (exec->NextBatch(&b)) sizes.push_back(b.num_rows());
+  EXPECT_EQ(sizes, (std::vector<size_t>{2, 2, 2, 2, 2, 2, 2, 1}));
+  EXPECT_EQ(ctx.stats.rows_joined, 15u);
 }
 
 TEST_F(JoinEdgeCaseTest, JoinWithResidualPredicate) {
@@ -124,6 +150,7 @@ TEST_F(JoinEdgeCaseTest, MergeJoinDuplicateKeys) {
   EXPECT_EQ(Run(mj).size(), 6u);
 }
 
+// Apply cases run in row mode and in batch mode at capacities 2 and 1024.
 class ApplyExecTest : public ExecTestBase {};
 
 TEST_F(ApplyExecTest, ScalarApplyCorrelated) {
@@ -144,7 +171,7 @@ TEST_F(ApplyExecTest, ScalarApplyCorrelated) {
       MakeApplyExec(plan::ApplyType::kScalar, DeptScan(), agg,
                     plan::MakeLiteral(Value::Bool(true)), {{1, 0}}, {7, 0},
                     TypeId::kInt64);
-  std::vector<Row> rows = Run(apply);
+  std::vector<Row> rows = RunAtEveryCapacity(apply).rows;
   ASSERT_EQ(rows.size(), 3u);
   // dept 10 -> 200, dept 20 -> 300, dept 40 -> NULL (no emp; MAX over
   // empty group of a scalar aggregate).
@@ -164,7 +191,7 @@ TEST_F(ApplyExecTest, SemiApplyCorrelated) {
   PhysPtr apply = MakeApplyExec(plan::ApplyType::kSemi, DeptScan(), inner,
                                 plan::MakeLiteral(Value::Bool(true)),
                                 {{1, 0}}, {}, TypeId::kNull);
-  std::vector<Row> rows = Run(apply);
+  std::vector<Row> rows = RunAtEveryCapacity(apply).rows;
   EXPECT_EQ(rows.size(), 2u);  // depts 10, 20
 }
 
@@ -175,13 +202,10 @@ TEST_F(ApplyExecTest, AntiApplyCountsExecutions) {
   PhysPtr apply = MakeApplyExec(plan::ApplyType::kAnti, DeptScan(), inner,
                                 plan::MakeLiteral(Value::Bool(true)),
                                 {{1, 0}}, {}, TypeId::kNull);
-  ExecContext ctx;
-  ctx.storage = storage_.get();
-  ctx.catalog = &catalog_;
-  std::vector<Row> rows = ExecuteAll(apply, &ctx).value();
-  EXPECT_EQ(rows.size(), 1u);  // dept 40
+  ModeResult r = RunAtEveryCapacity(apply);
+  EXPECT_EQ(r.rows.size(), 1u);  // dept 40
   // Tuple-iteration: inner executed once per outer row.
-  EXPECT_EQ(ctx.stats.subquery_executions, 3u);
+  EXPECT_EQ(r.stats.subquery_executions, 3u);
 }
 
 }  // namespace
