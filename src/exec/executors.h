@@ -346,7 +346,8 @@ class Executor {
 
   /// Moves `rows`, from `*pos` on, into `out` until it is full: the output
   /// of the operators that materialize their result before emitting it
-  /// (sort, hash aggregate, parallel gather). False once every row is out.
+  /// (sort, hash aggregate, the parallel gather under an aggregate root).
+  /// False once every row is out.
   /// Each row's storage is freed as it goes out, so the emitted part of
   /// `rows` does not stay allocated beside the consumer's copy.
   bool EmitRows(std::vector<Row>* rows, size_t* pos, RowBatch* out) {

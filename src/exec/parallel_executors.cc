@@ -13,9 +13,12 @@
 //      batch tree.
 //   2. The final pipeline: every worker runs its own executor tree over
 //      the region — morsel scans pulling page-aligned ranges from shared
-//      cursors, probe-only hash joins over the shared build states — into
-//      a per-worker output buffer (or per-worker partial aggregation
-//      state), merged at the gather barrier.
+//      cursors, probe-only hash joins over the shared build states. Each
+//      worker keeps its output batches whole (compacting sparse ones); at
+//      the gather barrier they are concatenated in worker order and then
+//      handed to the gather's parent one by one, by move. Under an
+//      aggregate root the workers fill per-worker partial aggregation
+//      states instead, merged at the barrier and finalized into rows.
 //
 // Each worker owns an ExecContext (stats, buffer-pool simulator, sticky
 // status) and shares the query's governor; worker stats are summed into
@@ -35,8 +38,10 @@
 // serial batch tree, whose hash join spills.
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -73,7 +78,9 @@ class ParallelGatherExec : public Executor {
         pipeline_root_(agg_root_ ? plan->children[0] : plan) {}
 
   void InitImpl() override {
-    results_.clear();
+    batches_.clear();
+    next_batch_ = 0;
+    groups_.clear();
     pos_ = 0;
     if (ctx_->Failed()) return;
     dop_ = std::clamp<size_t>(ctx_->dop, 1, ThreadPool::kMaxThreads);
@@ -156,8 +163,14 @@ class ParallelGatherExec : public Executor {
     wctx_.clear();
   }
 
+  /// Hands out the buffered batches by move, then (under an aggregate
+  /// root that did not fall back) the finalized groups.
   bool NextBatchImpl(RowBatch* out) override {
-    return EmitRows(&results_, &pos_, out);
+    if (next_batch_ >= batches_.size()) return EmitRows(&groups_, &pos_, out);
+    if (ctx_->Failed()) return false;
+    *out = std::move(batches_[next_batch_++]);
+    QOPT_DCHECK(out->num_rows() <= batch_capacity_);
+    return true;
   }
 
  private:
@@ -393,8 +406,8 @@ class ParallelGatherExec : public Executor {
   /// stats restored to `stats_before`/`op_stats_before`, so row counters
   /// equal a serial run's. Its buffer-pool touches are not undone, so
   /// modeled pages stay flagged divergent, and its governor row charges
-  /// are not refunded. Output is drained into `results_`, as the parallel
-  /// path's is.
+  /// are not refunded. Its output batches go to the same `batches_`
+  /// buffer the parallel pipeline fills, also under an aggregate root.
   void RunSerialFallback(const ExecStats& stats_before,
                          const OperatorStatsMap& op_stats_before) {
     wctx_.clear();
@@ -413,7 +426,7 @@ class ParallelGatherExec : public Executor {
     std::unique_ptr<Executor> tree = BuildBatchTree(root_, ctx_);
     tree->Init();
     RowBatch b;
-    while (!ctx_->Failed() && tree->NextBatch(&b)) StealRows(&b, &results_);
+    while (!ctx_->Failed() && tree->NextBatch(&b)) BufferBatch(&b, &batches_);
     if (ctx_->analyze) {
       // The serial root shares this gather's plan node, whose dispatcher
       // already counts the region's inits, output and time: keep only the
@@ -427,12 +440,15 @@ class ParallelGatherExec : public Executor {
     }
   }
 
-  static void StealRows(RowBatch* b, std::vector<Row>* out) {
-    for (size_t k = 0; k < b->ActiveSize(); ++k) {
-      Row r;
-      b->StealActive(k, &r);
-      out->push_back(std::move(r));
-    }
+  /// Moves `*b` whole onto `out` unless it has no live rows, leaving `*b`
+  /// empty for its producer to refill. A batch less than half full — a
+  /// sparse selection, or a morsel's short last batch — is compacted
+  /// first, so the buffer holds at most about twice the live cells and
+  /// never a filtered-out morsel.
+  static void BufferBatch(RowBatch* b, std::vector<RowBatch>* out) {
+    if (b->ActiveSize() == 0) return;
+    if (2 * b->ActiveSize() < b->capacity()) b->Compact();
+    out->push_back(std::exchange(*b, RowBatch()));
   }
 
   void RunFinalPhase() {
@@ -441,20 +457,17 @@ class ParallelGatherExec : public Executor {
       RunAggPhase();
       return;
     }
-    std::vector<std::vector<Row>> outs(dop_);
+    std::vector<std::vector<RowBatch>> outs(dop_);
     RunPhase([&](size_t w) {
       ExecContext* wc = wctx_[w].get();
       std::unique_ptr<Executor> tree = BuildWorkerTree(pipeline_root_, wc);
       tree->Init();
       RowBatch b;
-      while (!wc->Failed() && tree->NextBatch(&b)) StealRows(&b, &outs[w]);
+      while (!wc->Failed() && tree->NextBatch(&b)) BufferBatch(&b, &outs[w]);
       if (wc->Failed()) abort_.store(true, std::memory_order_relaxed);
     });
-    size_t total = 0;
-    for (const std::vector<Row>& o : outs) total += o.size();
-    results_.reserve(total);
-    for (std::vector<Row>& o : outs) {
-      for (Row& r : o) results_.push_back(std::move(r));
+    for (std::vector<RowBatch>& o : outs) {
+      std::move(o.begin(), o.end(), std::back_inserter(batches_));
     }
   }
 
@@ -485,7 +498,7 @@ class ParallelGatherExec : public Executor {
       OperatorStats& os = ctx_->op_stats[plan_];
       os.peak_mem_bytes = std::max(os.peak_mem_bytes, merged.bytes());
     }
-    results_ = merged.Finalize();
+    groups_ = merged.Finalize();
   }
 
   PhysPtr root_;
@@ -502,7 +515,12 @@ class ParallelGatherExec : public Executor {
       sources_;
   std::unordered_map<const PhysicalPlan*, std::shared_ptr<JoinBuildState>>
       states_;
-  std::vector<Row> results_;
+  /// The region's output batches in worker order (the serial fallback's
+  /// too), handed out by move.
+  std::vector<RowBatch> batches_;
+  size_t next_batch_ = 0;
+  /// The parallel aggregate's finalized groups, emitted through EmitRows.
+  std::vector<Row> groups_;
   size_t pos_ = 0;
 };
 

@@ -11,7 +11,7 @@
 // read their children's batches a row at a time through a ChildCursor and
 // append rows to their output batch; pass-through operators (limit,
 // distinct, set operations) hand their child's batch on with a shrunk
-// selection.
+// selection, and the parallel gather hands on its workers' batches.
 #ifndef QOPT_EXEC_ROW_BATCH_H_
 #define QOPT_EXEC_ROW_BATCH_H_
 
@@ -94,6 +94,19 @@ class RowBatch {
     num_rows_ = n;
     sel_.resize(n);
     for (size_t i = 0; i < n; ++i) sel_[i] = static_cast<uint32_t>(i);
+  }
+
+  /// Moves the live rows into exactly sized columns (selection becomes the
+  /// identity), freeing the storage of the filtered-out rows.
+  void Compact() {
+    for (std::vector<Value>& col : columns_) {
+      std::vector<Value> live;
+      live.reserve(sel_.size());
+      for (uint32_t r : sel_) live.push_back(std::move(col[r]));
+      col = std::move(live);
+    }
+    SetIdentitySelection(sel_.size());
+    sel_.shrink_to_fit();
   }
 
   /// Copies the k-th live row into `*out`.

@@ -217,6 +217,54 @@ TEST_F(ParallelExecTest, CrossWorkerAggregateMergeMatchesSerial) {
   }
 }
 
+// Non-aggregate regions hand their workers' batches on whole. Projection
+// and join outputs are dense; under a nested-loop join (a non-equi join
+// predicate) the Emp scan is a region root of its own, and its residual
+// (sal + eid > k, no constant comparison the scan could prefilter) only
+// shrinks each batch's selection, so those worker batches are sparse and
+// get compacted before they are buffered. The empty regions buffer
+// nothing. At capacity 7 every handed-on batch still fits its consumer
+// (the gather checks this).
+TEST_F(ParallelExecTest, PassThroughRegionsMatchNaive) {
+  const char* kQueries[] = {
+      "SELECT E.eid, E.sal + E.eid FROM Emp E WHERE E.sal + E.eid > 100000",
+      "SELECT E.eid, D.name FROM Emp E, Dept D "
+      "WHERE E.did = D.did AND E.sal + E.eid > 100000",
+      "SELECT E.eid, D.did FROM Emp E, Dept D "
+      "WHERE E.sal + E.eid > 100000 AND D.budget < E.sal",
+      "SELECT E.eid FROM Emp E WHERE E.sal + E.eid < 0",
+      "SELECT E.eid, D.did FROM Emp E, Dept D "
+      "WHERE E.sal + E.eid < 0 AND D.budget < E.sal",
+  };
+  for (const char* sql : kQueries) {
+    QueryOptions naive;
+    naive.naive_execution = true;
+    auto reference = db_.Query(sql, naive);
+    ASSERT_TRUE(reference.ok()) << sql << ": "
+                                << reference.status().ToString();
+    for (size_t capacity : {exec::kDefaultBatchCapacity, size_t{7}}) {
+      for (size_t dop : {2u, 4u, 8u}) {
+        QueryOptions options = ParallelOptions(dop);
+        options.batch_capacity = capacity;
+        const std::string label = std::string(sql) + " dop=" +
+                                  std::to_string(dop) +
+                                  " capacity=" + std::to_string(capacity);
+        auto plan = db_.PlanQuery(sql, options);
+        ASSERT_TRUE(plan.ok()) << label << ": " << plan.status().ToString();
+        auto roots = exec::ParallelRegionRoots(*plan);
+        ASSERT_FALSE(roots.empty()) << label << ": no parallel region";
+        for (const exec::PhysicalPlan* root : roots) {
+          EXPECT_NE(root->kind, exec::PhysOpKind::kHashAggregate) << label;
+        }
+        auto result = db_.Query(sql, options);
+        ASSERT_TRUE(result.ok()) << label << ": "
+                                 << result.status().ToString();
+        testing::ExpectSameRows(result->rows, reference->rows, label);
+      }
+    }
+  }
+}
+
 // dop above the pool cap is clamped, dop 1 runs on the calling thread; the
 // same Database instance serves every mode interleaved back to back.
 TEST_F(ParallelExecTest, ModeInterleavingAndDopClamping) {
