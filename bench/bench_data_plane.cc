@@ -15,7 +15,8 @@
 //      host has cores to give: at dop 4 we require wall >= 1.5x when the
 //      machine has >= 4 hardware threads; on smaller hosts the wall gate is
 //      reported as not applicable and the modeled (critical-path CPU)
-//      speedup must meet the same bar.
+//      speedup must meet the same bar. `host_parallel_x` next to it
+//      records how many of 4 spinning tasks the host ran side by side.
 //
 // Usage: bench_data_plane [output.json]
 // Writes machine-readable results as JSON (default BENCH_data_plane.json).
@@ -238,6 +239,9 @@ int main(int argc, char** argv) {
       if (crit > 0 && crit < par_crit) par_crit = crit;
       if (pwall < par_wall) par_wall = pwall;
     }
+    // How many of 4 spinning tasks the host ran side by side just now
+    // (bench_util.h): tells a host-serialized window from a regression.
+    const double host_x = HostParallelX(4);
     bool rows_match = serial_rows == par_rows;
     double wall_x = serial_wall / par_wall;
     double modeled_x = serial_cpu / par_crit;
@@ -248,10 +252,10 @@ int main(int argc, char** argv) {
         wall_gate_applicable ? wall_x >= 1.5 : modeled_x >= 1.5;
     ok = ok && rows_match && meets_gate;
 
-    TablePrinter t({"dop", "serial ms", "par ms", "wall x", "modeled x",
-                    "rows", "parity"});
+    TablePrinter t({"dop", "serial ms", "par ms", "wall x", "host x",
+                    "modeled x", "rows", "parity"});
     t.AddRow({"4", Fmt(serial_wall, 2), Fmt(par_wall, 2), Fmt(wall_x, 2),
-              Fmt(modeled_x, 2), FmtInt(par_rows),
+              Fmt(host_x, 2), Fmt(modeled_x, 2), FmtInt(par_rows),
               rows_match ? "yes" : "NO"});
     t.Print();
     std::printf("  hardware threads: %u (wall gate %s)\n\n", hardware,
@@ -260,6 +264,7 @@ int main(int argc, char** argv) {
          << ", \"serial_wall_ms\": " << Fmt(serial_wall, 3)
          << ", \"parallel_wall_ms\": " << Fmt(par_wall, 3)
          << ", \"wall_speedup\": " << Fmt(wall_x, 3)
+         << ", \"host_parallel_x\": " << Fmt(host_x, 3)
          << ", \"modeled_speedup\": " << Fmt(modeled_x, 3)
          << ", \"wall_gate_applicable\": "
          << (wall_gate_applicable ? "true" : "false")

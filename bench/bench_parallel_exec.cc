@@ -19,6 +19,10 @@
 //              measures how well morsels split the work regardless of the
 //              host's core count; `hardware_threads` in the JSON records
 //              the machine so readers can judge which column applies.
+// Next to each dop > 1 cell, `host_parallel_x` (bench_util.h's
+// HostParallelX) records how many of dop spinning tasks the host ran side
+// by side right after the cell's reps: a low wall speedup next to a
+// host_parallel_x near 1 is a host-serialized window, not the engine.
 //
 // Usage: bench_parallel_exec [output.json]
 // Writes machine-readable results as JSON (default BENCH_parallel.json).
@@ -150,7 +154,8 @@ int main(int argc, char** argv) {
   unsigned hardware = std::thread::hardware_concurrency();
 
   TablePrinter table({"pipeline", "dop", "serial ms", "par ms", "wall x",
-                      "serial cpu", "crit cpu", "modeled x", "rows", "parity"});
+                      "host x", "serial cpu", "crit cpu", "modeled x", "rows",
+                      "parity"});
   std::ofstream json(out_path);
   if (!json) {
     std::fprintf(stderr, "error: cannot write %s\n", out_path);
@@ -185,6 +190,7 @@ int main(int argc, char** argv) {
         RunResult q = RunParallel(db, *plan, &pool, dop);
         if (q.cpu_ms < par.cpu_ms) par = q;
       }
+      const double host_x = dop > 1 ? HostParallelX(dop) : 0;
       bool match =
           par.rows == serial.rows && SameRowStats(par.stats, serial.stats);
       all_match = all_match && match;
@@ -192,15 +198,17 @@ int main(int argc, char** argv) {
       double modeled_x = serial.cpu_ms / par.cpu_ms;
       if (dop == 4 && modeled_x < 2.0) meets_2x = false;
       table.AddRow({p.name, FmtInt(dop), Fmt(serial.wall_ms, 2),
-                    Fmt(par.wall_ms, 2), Fmt(wall_x, 2), Fmt(serial.cpu_ms, 2),
+                    Fmt(par.wall_ms, 2), Fmt(wall_x, 2),
+                    dop > 1 ? Fmt(host_x, 2) : "-", Fmt(serial.cpu_ms, 2),
                     Fmt(par.cpu_ms, 2), Fmt(modeled_x, 2), FmtInt(par.rows),
                     match ? "yes" : "NO"});
       json << (first ? "" : ",") << "\n    {\"pipeline\": \"" << p.name
            << "\", \"dop\": " << dop
            << ", \"serial_wall_ms\": " << Fmt(serial.wall_ms, 3)
            << ", \"parallel_wall_ms\": " << Fmt(par.wall_ms, 3)
-           << ", \"wall_speedup\": " << Fmt(wall_x, 3)
-           << ", \"serial_cpu_ms\": " << Fmt(serial.cpu_ms, 3)
+           << ", \"wall_speedup\": " << Fmt(wall_x, 3);
+      if (dop > 1) json << ", \"host_parallel_x\": " << Fmt(host_x, 3);
+      json << ", \"serial_cpu_ms\": " << Fmt(serial.cpu_ms, 3)
            << ", \"critical_cpu_ms\": " << Fmt(par.cpu_ms, 3)
            << ", \"worker_cpu_ms\": " << Fmt(par.worker_cpu, 3)
            << ", \"modeled_speedup\": " << Fmt(modeled_x, 3)

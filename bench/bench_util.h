@@ -1,12 +1,16 @@
 // Shared helpers for the experiment benches: aligned table printing
-// (paper-style result tables) and wall-clock timing.
+// (paper-style result tables), wall-clock timing and a probe of the
+// parallelism the host actually grants.
 #ifndef QOPT_BENCH_BENCH_UTIL_H_
 #define QOPT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "engine/thread_pool.h"
 
 namespace qopt::bench {
 
@@ -58,6 +62,40 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Host parallelism probe: runs ThreadPool::ParallelFor with `dop` tasks
+/// of about 2 ms of spinning (thread CPU time) on a pool sized as Database
+/// sizes its own (dop - 1 threads plus the caller), and returns the median
+/// over `reps` calls of (dop x task time) / call wall time. It reads about
+/// dop when the host runs the tasks side by side and about 1 when it
+/// serializes them, so a parallel wall-clock cell recorded next to it
+/// tells a host-serialized window from an engine regression.
+inline double HostParallelX(size_t dop, int reps = 9) {
+  constexpr double kTaskMs = 2.0;
+  ThreadPool pool(1);
+  pool.EnsureThreads(dop - 1);
+  std::vector<double> ratios;
+  for (int r = 0; r < reps; ++r) {
+    std::vector<double> task_ms(dop, 0.0);
+    Stopwatch call;
+    pool.ParallelFor(dop, [&](size_t t) {
+      Stopwatch wall;  // bounds the spin where no thread CPU clock exists
+      const double c0 = ThreadCpuMs();
+      double spent = 0;
+      while (spent < kTaskMs && wall.ElapsedMs() < 10 * kTaskMs) {
+        spent = ThreadCpuMs() - c0;
+      }
+      task_ms[t] = spent;
+    });
+    const double call_ms = call.ElapsedMs();
+    double work_ms = 0;
+    for (double ms : task_ms) work_ms += ms;
+    ratios.push_back(work_ms / call_ms);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  return ratios[ratios.size() / 2];
+}
 
 inline std::string Fmt(double v, int precision = 1) {
   char buf[64];

@@ -29,6 +29,7 @@ Database::Database() : storage_(&catalog_) {
   optimizer_degraded_ = metrics_.GetCounter("optimizer.degraded");
   compile_ns_ = metrics_.GetHistogram("query.compile_ns");
   execute_ns_ = metrics_.GetHistogram("query.execute_ns");
+  materialize_ns_ = metrics_.GetHistogram("query.materialize_ns");
   expr_compiled_ = metrics_.GetCounter("expr.compiled");
   expr_fallback_ = metrics_.GetCounter("expr.fallback");
   expr_compile_ns_ = metrics_.GetHistogram("expr.compile_ns");
@@ -890,6 +891,7 @@ Result<QueryResult> Database::QueryInternal(const std::string& sql,
   ctx.expr_compiled_metric = expr_compiled_;
   ctx.expr_fallback_metric = expr_fallback_;
   ctx.expr_compile_ns = expr_compile_ns_;
+  ctx.materialize_ns = materialize_ns_;
   if (governor.enabled()) ctx.governor = &governor;
   // Spill resolution: arm when enabled and there is a budget to degrade
   // against — an explicit per-operator budget, or a quarter of the

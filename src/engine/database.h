@@ -350,6 +350,7 @@ class Database {
   MetricsRegistry::Counter* feedback_plan_evictions_ = nullptr;
   MetricsRegistry::Histogram* compile_ns_ = nullptr;
   MetricsRegistry::Histogram* execute_ns_ = nullptr;
+  MetricsRegistry::Histogram* materialize_ns_ = nullptr;
   MetricsRegistry::Counter* expr_compiled_ = nullptr;
   MetricsRegistry::Counter* expr_fallback_ = nullptr;
   MetricsRegistry::Histogram* expr_compile_ns_ = nullptr;

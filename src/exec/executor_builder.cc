@@ -1,3 +1,6 @@
+#include <chrono>
+
+#include "engine/thread_pool.h"
 #include "exec/executors_internal.h"
 
 namespace qopt::exec {
@@ -174,6 +177,47 @@ std::unique_ptr<Executor> BuildBatchTree(const PhysPtr& plan,
 
 }  // namespace internal
 
+namespace {
+
+/// Moves the live rows of `*b`, in selection order, into
+/// out[0 .. b->ActiveSize()). The one per-batch row build of ExecuteAll,
+/// streaming or pooled.
+void MaterializeBatch(RowBatch* b, Row* out) {
+  for (size_t k = 0; k < b->ActiveSize(); ++k) b->StealActive(k, &out[k]);
+}
+
+/// Builds the rows of `batches` (non-empty, in drain order) into `*rows`
+/// on `pool`: presizes `*rows`, then min(dop, batches) tasks each take a
+/// contiguous batch range holding about an equal share of the rows, move
+/// its rows into their final slots and free each batch once it is empty.
+void MaterializeOnPool(std::vector<RowBatch>* batches, ThreadPool* pool,
+                       size_t dop, std::vector<Row>* rows) {
+  // first_row[i]: the result slot of batch i's first row.
+  std::vector<size_t> first_row(batches->size() + 1, 0);
+  for (size_t i = 0; i < batches->size(); ++i) {
+    first_row[i + 1] = first_row[i] + (*batches)[i].ActiveSize();
+  }
+  const size_t total = first_row.back();
+  rows->resize(total);
+  const size_t tasks = std::min(dop, batches->size());
+  // Task t takes the batches whose first row falls in
+  // [t * total / tasks, (t + 1) * total / tasks).
+  auto range_begin = [&](size_t t) {
+    return static_cast<size_t>(
+        std::lower_bound(first_row.begin(), first_row.end() - 1,
+                         t * total / tasks) -
+        first_row.begin());
+  };
+  pool->ParallelFor(tasks, [&](size_t t) {
+    for (size_t i = range_begin(t), end = range_begin(t + 1); i < end; ++i) {
+      MaterializeBatch(&(*batches)[i], rows->data() + first_row[i]);
+      (*batches)[i] = RowBatch();
+    }
+  });
+}
+
+}  // namespace
+
 Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx) {
   // A zero deadline must cancel even a query too small to reach a
   // cooperative tick, so check once unconditionally up front.
@@ -182,23 +226,47 @@ Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx) {
   }
   std::unique_ptr<Executor> exec = BuildExecutor(plan, ctx);
   exec->Init();
-  std::vector<Row> rows;
   if (ctx->Failed()) return ctx->status;
+  // With a pool, each charged batch is kept (BufferBatch) and the rows are
+  // built on the pool once the drain is done; without one, each batch's
+  // rows are built as it arrives.
+  const bool pooled = ctx->pool != nullptr && ctx->dop > 1;
+  const uint64_t row_bytes = ModeledRowBytes(plan->output_cols.size());
+  std::vector<Row> rows;
+  std::vector<RowBatch> kept;
+  // Runs `build` and, when the histogram is wired, adds its wall time to
+  // `materialize_ns` (no clock reads otherwise: row mode runs this per row).
+  uint64_t materialize_ns = 0;
+  auto timed = [&](auto&& build) {
+    if (ctx->materialize_ns == nullptr) return build();
+    const auto t0 = std::chrono::steady_clock::now();
+    build();
+    materialize_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  };
   RowBatch batch;
   while (exec->NextBatch(&batch)) {
-    size_t n = batch.ActiveSize();
+    const size_t n = batch.ActiveSize();
     if (n == 0) continue;
-    if (!ctx->GovernorCharge(n,
-                             n * ModeledRowBytes(plan->output_cols.size()))) {
-      break;
-    }
-    for (size_t k = 0; k < n; ++k) {
-      Row r;
-      batch.StealActive(k, &r);
-      rows.push_back(std::move(r));
-    }
+    if (!ctx->GovernorCharge(n, n * row_bytes)) break;
+    timed([&] {
+      if (pooled) {
+        BufferBatch(&batch, &kept);
+      } else {
+        rows.resize(rows.size() + n);
+        MaterializeBatch(&batch, rows.data() + rows.size() - n);
+      }
+    });
   }
   if (ctx->Failed()) return ctx->status;
+  if (!kept.empty()) {
+    timed([&] { MaterializeOnPool(&kept, ctx->pool, ctx->dop, &rows); });
+  }
+  if (ctx->materialize_ns != nullptr) {
+    ctx->materialize_ns->Record(materialize_ns);
+  }
   return rows;
 }
 

@@ -66,6 +66,8 @@ struct ExecStats {
   // measures the true work split even when workers time-share cores, so
   // the bench can report a machine-independent modeled speedup:
   // serial CPU / critical path.
+  // Both cover the gather's region phases only: ExecuteAll's pooled row
+  // build after the drain is in neither.
   double parallel_worker_cpu_ms = 0;    ///< Σ worker CPU over all phases.
   double parallel_critical_cpu_ms = 0;  ///< Σ over phases of max worker CPU.
   /// True once any morsel-parallel region ran: the workers' private LRU
@@ -204,6 +206,8 @@ struct ExecContext {
   MetricsRegistry::Counter* expr_compiled_metric = nullptr;
   MetricsRegistry::Counter* expr_fallback_metric = nullptr;
   MetricsRegistry::Histogram* expr_compile_ns = nullptr;
+  /// Wall time ExecuteAll spends building the result rows, per query.
+  MetricsRegistry::Histogram* materialize_ns = nullptr;
   /// Resolved spill policy (see SpillConfig). When `spill.armed`, the
   /// spill-capable materializing operators (Sort, hash join) run in memory
   /// until their working set crosses `spill.budget_bytes`, then degrade to
@@ -436,8 +440,13 @@ std::unique_ptr<Executor> BuildExecutor(const PhysPtr& plan, ExecContext* ctx);
 
 /// Runs `plan` to completion and returns all rows, or the error recorded on
 /// `ctx` (cancellation, budget exhaustion, injected faults). The root is
-/// driven batch-at-a-time in every mode and the result rows materialized
-/// per batch.
+/// driven batch-at-a-time in every mode, and each batch is charged to the
+/// governor as it arrives. Without a pool each batch's rows are built as
+/// it arrives. With a pool (dop > 1) the batches are kept until the drain
+/// ends, sparse ones compacted (BufferBatch), and their rows are then
+/// moved into a presized result on the pool, at most dop tasks over
+/// contiguous batch ranges; row order is the drain order either way. The
+/// build's wall time goes to `ctx->materialize_ns`.
 Result<std::vector<Row>> ExecuteAll(const PhysPtr& plan, ExecContext* ctx);
 
 /// The vectorized operators (scan, filter, project, hash join) that run at

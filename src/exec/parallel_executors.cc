@@ -440,17 +440,6 @@ class ParallelGatherExec : public Executor {
     }
   }
 
-  /// Moves `*b` whole onto `out` unless it has no live rows, leaving `*b`
-  /// empty for its producer to refill. A batch less than half full — a
-  /// sparse selection, or a morsel's short last batch — is compacted
-  /// first, so the buffer holds at most about twice the live cells and
-  /// never a filtered-out morsel.
-  static void BufferBatch(RowBatch* b, std::vector<RowBatch>* out) {
-    if (b->ActiveSize() == 0) return;
-    if (2 * b->ActiveSize() < b->capacity()) b->Compact();
-    out->push_back(std::exchange(*b, RowBatch()));
-  }
-
   void RunFinalPhase() {
     RegisterSources(pipeline_root_);
     if (agg_root_) {

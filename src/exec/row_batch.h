@@ -16,6 +16,7 @@
 #define QOPT_EXEC_ROW_BATCH_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/value.h"
@@ -97,15 +98,21 @@ class RowBatch {
   }
 
   /// Moves the live rows into exactly sized columns (selection becomes the
-  /// identity), freeing the storage of the filtered-out rows.
+  /// identity), freeing the storage of the filtered-out rows. A batch whose
+  /// rows are all live (one compacted before) only gives back its unused
+  /// reserve.
   void Compact() {
-    for (std::vector<Value>& col : columns_) {
-      std::vector<Value> live;
-      live.reserve(sel_.size());
-      for (uint32_t r : sel_) live.push_back(std::move(col[r]));
-      col = std::move(live);
+    if (sel_.size() == num_rows_) {
+      for (std::vector<Value>& col : columns_) col.shrink_to_fit();
+    } else {
+      for (std::vector<Value>& col : columns_) {
+        std::vector<Value> live;
+        live.reserve(sel_.size());
+        for (uint32_t r : sel_) live.push_back(std::move(col[r]));
+        col = std::move(live);
+      }
+      SetIdentitySelection(sel_.size());
     }
-    SetIdentitySelection(sel_.size());
     sel_.shrink_to_fit();
   }
 
@@ -133,6 +140,18 @@ class RowBatch {
   size_t num_rows_ = 0;
   size_t capacity_ = kDefaultBatchCapacity;
 };
+
+/// Moves `*b` whole onto `out` unless it has no live rows, leaving `*b`
+/// empty for its producer to refill. A batch less than half full — a
+/// sparse selection, or a morsel's short last batch — is compacted first,
+/// so the buffer holds at most about twice the live cells and never a
+/// filtered-out morsel. The one buffering rule of the parallel gather and
+/// of ExecuteAll's pooled result path.
+inline void BufferBatch(RowBatch* b, std::vector<RowBatch>* out) {
+  if (b->ActiveSize() == 0) return;
+  if (2 * b->ActiveSize() < b->capacity()) b->Compact();
+  out->push_back(std::exchange(*b, RowBatch()));
+}
 
 }  // namespace qopt::exec
 

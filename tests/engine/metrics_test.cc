@@ -103,6 +103,10 @@ TEST_F(DatabaseMetricsTest, QueryCountersAndLatencyHistograms) {
   EXPECT_EQ(Metric("query.compile_ns.count"), 1u);
   EXPECT_EQ(Metric("query.execute_ns.count"), 1u);
   EXPECT_GT(Metric("query.execute_ns.sum"), 0u);
+  // The result-row build is one phase of execution.
+  EXPECT_EQ(Metric("query.materialize_ns.count"), 1u);
+  EXPECT_LE(Metric("query.materialize_ns.sum"),
+            Metric("query.execute_ns.sum"));
 
   EXPECT_FALSE(db_.Query("SELECT nope FROM Missing").ok());
   EXPECT_EQ(Metric("queries.failed"), 1u);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include "exec/expr_eval.h"
 #include "exec/executors.h"
@@ -80,6 +82,49 @@ TEST(RowBatchTest, ResetReusesStorage) {
   EXPECT_EQ(b.ActiveSize(), 0u);
   b.Reset(3, 2);  // reshape
   EXPECT_EQ(b.num_cols(), 3u);
+}
+
+// The buffering rule shared by the parallel gather and ExecuteAll's pooled
+// result path: empty batches are dropped, and one less than half full is
+// compacted to exactly sized columns before it is moved out. Buffering an
+// already compacted batch again keeps its rows and order.
+TEST(RowBatchTest, BufferBatchCompactsSparseBatches) {
+  std::vector<RowBatch> out;
+  RowBatch b;
+  b.Reset(2, 8);
+  for (int i = 0; i < 4; ++i) {
+    b.AppendRow({Value::Int(i), Value::String("s" + std::to_string(i))});
+  }
+  *b.mutable_selection() = {};
+  BufferBatch(&b, &out);
+  EXPECT_TRUE(out.empty());
+
+  *b.mutable_selection() = {1, 3};
+  BufferBatch(&b, &out);
+  EXPECT_EQ(b.num_rows(), 0u);  // moved out, left empty for its producer
+  ASSERT_EQ(out.size(), 1u);
+  auto expect_rows_1_and_3 = [](const RowBatch& c) {
+    EXPECT_EQ(c.num_rows(), 2u);
+    ASSERT_EQ(c.selection(), (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ(c.column(0).capacity(), 2u);
+    EXPECT_EQ(c.At(0, 0).AsInt(), 1);
+    EXPECT_EQ(c.At(1, 1).AsString(), "s3");
+  };
+  expect_rows_1_and_3(out[0]);
+
+  RowBatch again = std::move(out[0]);
+  out.clear();
+  BufferBatch(&again, &out);
+  ASSERT_EQ(out.size(), 1u);
+  expect_rows_1_and_3(out[0]);
+
+  // A dense batch at least half full is moved out as it is.
+  RowBatch dense;
+  dense.Reset(1, 4);
+  for (int i = 0; i < 2; ++i) dense.AppendRow({Value::Int(i)});
+  BufferBatch(&dense, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].column(0).capacity(), 4u);
 }
 
 // ---------------------------------------------------------------------------

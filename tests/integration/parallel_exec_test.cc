@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "engine/database.h"
 #include "testing/fault_injection.h"
@@ -263,6 +264,112 @@ TEST_F(ParallelExecTest, PassThroughRegionsMatchNaive) {
       }
     }
   }
+}
+
+// ExecuteAll's pooled result build: at dop > 1 the drained batches are
+// kept and their rows moved into a presized result by up to dop tasks over
+// contiguous batch ranges. The Sort above the gather emits more than ten
+// full batches at capacity 1024 (and about 1600 at capacity 7), so every
+// task gets a range. Its ORDER BY result must equal the dop-1 batch result
+// and the naive oracle row by row, in order; the unordered projection
+// under it must match as a multiset; an empty and a one-row result come
+// out as at dop 1; and a row budget that trips mid-drain fails with the
+// same StatusCode as at dop 1.
+TEST_F(ParallelExecTest, PooledResultBuildKeepsDrainOrder) {
+  constexpr int kRows = 12000;
+  ASSERT_TRUE(db_.Execute("CREATE TABLE Wide (id INT PRIMARY KEY, g INT, "
+                          "v DOUBLE, s STRING)")
+                  .ok());
+  std::vector<Row> data;
+  for (int i = 0; i < kRows; ++i) {
+    data.push_back({Value::Int(i), Value::Int(i % 97),
+                    Value::Double((i * 7919) % 1000),
+                    Value::String("s" + std::to_string(i))});
+  }
+  ASSERT_TRUE(db_.BulkLoad("Wide", std::move(data)).ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+
+  const std::string kOrdered =
+      "SELECT id, v, s FROM Wide WHERE g < 90 ORDER BY v DESC, id";
+  const std::string kUnordered = "SELECT id, v, s FROM Wide WHERE g < 90";
+  const std::string kEmpty = "SELECT id, s FROM Wide WHERE g < 0";
+  const std::string kOneRow = "SELECT id, s FROM Wide WHERE id * 2 = 10";
+  auto expect_in_order = [](const std::vector<Row>& got,
+                            const std::vector<Row>& want,
+                            const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(RowEq()(got[i], want[i]))
+          << label << " row " << i << ": got " << RowToString(got[i])
+          << ", want " << RowToString(want[i]);
+    }
+  };
+  QueryOptions naive;
+  naive.naive_execution = true;
+  auto oracle = db_.Query(kOrdered, naive);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_GT(oracle->rows.size(), 10 * exec::kDefaultBatchCapacity);
+
+  for (size_t capacity : {exec::kDefaultBatchCapacity, size_t{7}}) {
+    QueryOptions serial = ParallelOptions(1);
+    serial.batch_capacity = capacity;
+    const std::string cap = " capacity=" + std::to_string(capacity);
+    auto ordered_ref = db_.Query(kOrdered, serial);
+    auto unordered_ref = db_.Query(kUnordered, serial);
+    ASSERT_TRUE(ordered_ref.ok()) << ordered_ref.status().ToString();
+    ASSERT_TRUE(unordered_ref.ok()) << unordered_ref.status().ToString();
+    expect_in_order(ordered_ref->rows, oracle->rows, "dop=1" + cap);
+    QueryOptions serial_limited = serial;
+    serial_limited.governor.max_rows = kRows / 2;
+    auto tripped_ref = db_.Query(kUnordered, serial_limited);
+    ASSERT_FALSE(tripped_ref.ok()) << "dop=1" << cap;
+    EXPECT_EQ(tripped_ref.status().code(), StatusCode::kResourceExhausted)
+        << tripped_ref.status().ToString();
+
+    for (size_t dop : {2u, 4u, 8u}) {
+      QueryOptions options = ParallelOptions(dop);
+      options.batch_capacity = capacity;
+      const std::string label = "dop=" + std::to_string(dop) + cap;
+      for (const std::string& sql :
+           {kOrdered, kUnordered, kEmpty, kOneRow}) {
+        auto plan = db_.PlanQuery(sql, options);
+        ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+        EXPECT_FALSE(exec::ParallelRegionRoots(*plan).empty())
+            << label << " " << sql << ": no parallel region";
+      }
+      auto ordered = db_.Query(kOrdered, options);
+      ASSERT_TRUE(ordered.ok()) << label << ": "
+                                << ordered.status().ToString();
+      expect_in_order(ordered->rows, ordered_ref->rows, label + " vs dop=1");
+      expect_in_order(ordered->rows, oracle->rows, label + " vs naive");
+
+      auto unordered = db_.Query(kUnordered, options);
+      ASSERT_TRUE(unordered.ok()) << label << ": "
+                                  << unordered.status().ToString();
+      testing::ExpectSameRows(unordered->rows, unordered_ref->rows,
+                              label + " unordered");
+
+      auto empty = db_.Query(kEmpty, options);
+      ASSERT_TRUE(empty.ok()) << label << ": " << empty.status().ToString();
+      EXPECT_TRUE(empty->rows.empty()) << label;
+      auto one = db_.Query(kOneRow, options);
+      ASSERT_TRUE(one.ok()) << label << ": " << one.status().ToString();
+      ASSERT_EQ(one->rows.size(), 1u) << label;
+      EXPECT_TRUE(RowEq()(one->rows[0], Row{Value::Int(5),
+                                            Value::String("s5")}))
+          << label << ": " << RowToString(one->rows[0]);
+
+      QueryOptions limited = options;
+      limited.governor.max_rows = kRows / 2;
+      auto tripped = db_.Query(kUnordered, limited);
+      ASSERT_FALSE(tripped.ok()) << label;
+      EXPECT_EQ(tripped.status().code(), tripped_ref.status().code())
+          << label << ": " << tripped.status().ToString();
+    }
+  }
+  // The pool serves the next query after the tripped ones.
+  auto after = db_.Query(kJoinAggSql, ParallelOptions());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
 }
 
 // dop above the pool cap is clamped, dop 1 runs on the calling thread; the
