@@ -64,6 +64,27 @@ int main() {
                 Fmt(result->exec_stats.modeled_pages_read)});
   table.Print();
 
+  // The unoptimized plan (syntactic order, nested-loop joins) is the
+  // correctness oracle: the operator tree must count the same rows.
+  QueryOptions naive;
+  naive.naive_execution = true;
+  Stopwatch naive_timer;
+  auto oracle = db.Query(sql, naive);
+  if (!oracle.ok()) {
+    std::fprintf(stderr, "naive query failed: %s\n",
+                 oracle.status().ToString().c_str());
+    return 1;
+  }
+  const Value& got = result->rows[0][0];
+  const Value& want = oracle->rows[0][0];
+  std::printf("Naive nested-loop plan: COUNT(*) %s in %s ms\n",
+              want.ToString().c_str(), Fmt(naive_timer.ElapsedMs()).c_str());
+  if (got.Compare(want) != 0) {
+    std::fprintf(stderr, "COUNT(*) mismatch: operator tree %s, naive %s\n",
+                 got.ToString().c_str(), want.ToString().c_str());
+    return 1;
+  }
+
   std::printf("Shape check: the plan composes distinct physical operators "
               "(edges = data flow), as in Figure 1.\n");
   return 0;

@@ -1,7 +1,8 @@
 // Vectorized (batch-at-a-time) implementations of the hot physical
-// operators: table/index scan, filter, projection and hash join. They are
-// the only implementations of these operators; every execution mode builds
-// them, at the batch capacity the builder sets per executor.
+// operators: table/index scan, filter and projection here, and the one
+// binary-join executor in join_executors.cc. They are the only
+// implementations of these operators; every execution mode builds them, at
+// the batch capacity the builder sets per executor.
 //
 // Each operator moves RowBatches instead of single Rows and evaluates
 // expressions a column at a time, with no per-row virtual call and no
@@ -10,8 +11,8 @@
 // vectors directly. Every other operator produces batches too (executors.h)
 // but works on rows inside them.
 //
-// ExecStats exactness: operators increment rows_scanned / rows_joined /
-// index_lookups per row and touch buffer-pool pages in row order, and no
+// ExecStats exactness: operators count rows_scanned / rows_joined /
+// index_lookups exactly and touch buffer-pool pages in row order, and no
 // batch ever holds more than its capacity, so at capacity 1 they do exactly
 // the work a row-at-a-time engine would, and at any capacity the counters
 // match wherever the consumer drains its input (the builder runs every
@@ -29,15 +30,12 @@
 
 #include "exec/executors_internal.h"
 #include "exec/expr_compile.h"
-#include "exec/hash_join_state.h"
 #include "exec/morsel.h"
 #include "testing/fault_injection.h"
 
 namespace qopt::exec::internal {
 
 namespace {
-
-using plan::JoinType;
 
 /// Vectorized sequential / index-range scan with an optional residual
 /// filter evaluated batch-at-a-time. With a MorselSource attached, the
@@ -429,415 +427,6 @@ class BatchProjectExec : public Executor {
   expr::ExprExecState expr_state_;
 };
 
-/// Vectorized hash join: builds on the right input (batch-drained), probes
-/// left batches, filling output batches up to capacity. Supports inner,
-/// cross, left outer, semi and anti joins with a residual predicate. In the
-/// probe-only variant the build side (a shared JoinBuildState) was
-/// materialized elsewhere — the parallel gather's build phase — and this
-/// executor only probes it.
-///
-/// The self-building variant decides to spill while it runs: the build
-/// stays in memory until, with spill armed, its modeled bytes cross the
-/// spill budget. It then turns into a grace hash join — the columns built
-/// so far, the rest of the build input and then the whole probe input are
-/// hash-partitioned into GracePartitions files, and each partition pair is
-/// joined through its own JoinBuildState. Spilled output is
-/// partition-major: a multiset match of the in-memory join.
-class BatchHashJoinExec : public Executor {
- public:
-  BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
-                    std::unique_ptr<Executor> left,
-                    std::unique_ptr<Executor> right)
-      : Executor(plan, ctx),
-        left_(std::move(left)),
-        right_(std::move(right)) {
-    InitShape();
-  }
-
-  /// Probe-only: `state` holds a finalized build side shared with other
-  /// probe workers.
-  BatchHashJoinExec(const PhysicalPlan* plan, ExecContext* ctx,
-                    std::unique_ptr<Executor> left,
-                    std::shared_ptr<JoinBuildState> state)
-      : Executor(plan, ctx),
-        left_(std::move(left)),
-        state_(std::move(state)) {
-    InitShape();
-  }
-
-  bool NextBatchImpl(RowBatch* out) override {
-    if (done_ || ctx_->Failed()) return false;
-    bool left_only = plan_->join_type == JoinType::kSemi ||
-                     plan_->join_type == JoinType::kAnti;
-    out->Reset(left_only ? left_width_ : left_width_ + right_width_,
-               batch_capacity_);
-    // The probe position and the current probe row's pending matches
-    // persist across calls, so a batch never exceeds its capacity — even
-    // at capacity 1, where a Limit may stop part-way through one key's
-    // matches and rows_joined must count only the rows it took.
-    while (!out->full()) {
-      if (match_pos_ < matches_.size()) {
-        AppendCombined(match_prow_, matches_[match_pos_++], out);
-        continue;
-      }
-      if (probe_pos_ >= probe_.ActiveSize()) {
-        if (!NextProbeBatch()) {
-          done_ = true;
-          break;
-        }
-        probe_pos_ = 0;
-        continue;
-      }
-      ProbeRow(probe_.ActiveIndex(probe_pos_++), out);
-    }
-    return out->num_rows() > 0 || !done_;
-  }
-
- protected:
-  void InitImpl() override {
-    left_->Init();
-    probe_.Reset(0, 0);
-    probe_pos_ = 0;
-    matches_.clear();
-    match_pos_ = 0;
-    done_ = false;
-    auto lit = left_->colmap().find(plan_->left_key);
-    QOPT_DCHECK(lit != left_->colmap().end());
-    lk_ = lit->second;
-    residual_prog_ = nullptr;
-    if (plan_->predicate) {
-      expr::CompileEnv env;
-      env.colmap = &combined_map_;
-      for (const auto& c : plan_->children[0]->output_cols) {
-        env.col_types.push_back(c.type);
-      }
-      for (const auto& c : plan_->children[1]->output_cols) {
-        env.col_types.push_back(c.type);
-      }
-      residual_prog_ = expr::ResolveProgram(
-          plan_, expr::kSlotJoinResidual, plan_->predicate.get(), env,
-          /*as_predicate=*/true, ctx_);
-      RecordExprMode(residual_prog_ != nullptr);
-    }
-    if (right_ == nullptr) return;  // probe-only: shared state is ready
-    right_->Init();
-    parts_.Clear();
-    next_part_ = 0;
-    mem_charged_ = 0;
-    auto rit = right_->colmap().find(plan_->right_key);
-    QOPT_DCHECK(rit != right_->colmap().end());
-    rk_ = static_cast<size_t>(rit->second);
-    state_ = NewBuildState();  // fresh on rescan
-    size_t hint = ReserveHint(plan_->children[1]->est_rows);
-    for (std::vector<Value>& col : state_->build_cols) col.reserve(hint);
-    // The build side stays columnar: values move straight out of the child
-    // batches (each batch is reset on the next NextBatch call), avoiding a
-    // per-row Row materialization of the entire build input. Each row is
-    // charged the ModeledRowBytes footprint; spill-armed, memory is bounded
-    // by the budget, so the governor sees row bookkeeping only.
-    const SpillConfig& sp = ctx_->spill;
-    const uint64_t row_bytes = ModeledRowBytes(right_width_);
-    uint64_t buffered = 0;
-    RowBatch build;
-    while (!ctx_->Failed() && right_->NextBatch(&build)) {
-      for (size_t k = 0; k < build.ActiveSize(); ++k) {
-        uint32_t r = build.ActiveIndex(k);
-        if (build.At(rk_, r).is_null()) continue;  // NULL keys never match
-        if (!ctx_->GovernorCharge(1, sp.armed ? 0 : row_bytes)) break;
-        if (parts_.spilled()) {
-          for (size_t c = 0; c < right_width_; ++c) {
-            spill_row_[c] = std::move(build.column(c)[r]);
-          }
-          if (!ctx_->Check(
-                  GracePartitions::Append(parts_.build, spill_row_, rk_))) {
-            break;
-          }
-          continue;
-        }
-        for (size_t c = 0; c < right_width_; ++c) {
-          state_->build_cols[c].push_back(std::move(build.column(c)[r]));
-        }
-        buffered += row_bytes;
-        if (sp.armed && buffered > sp.budget_bytes &&
-            state_->num_build_rows() > 1 && !BeginSpill()) {
-          break;
-        }
-      }
-    }
-    if (ctx_->Failed()) return;
-    if (!parts_.spilled()) {
-      ChargeMem(buffered);
-      state_->Finalize(LeftKeyType(), RightKeyType());
-      return;
-    }
-    // Seal the build partitions, then partition the ENTIRE probe side.
-    state_.reset();
-    if (!SealSpillFiles(parts_.build)) return;
-    spill_row_.resize(left_width_);
-    RowBatch probe;
-    while (!ctx_->Failed() && left_->NextBatch(&probe)) {
-      for (size_t k = 0; k < probe.ActiveSize(); ++k) {
-        uint32_t r = probe.ActiveIndex(k);
-        for (size_t c = 0; c < left_width_; ++c) {
-          spill_row_[c] = std::move(probe.column(c)[r]);
-        }
-        if (!ctx_->Check(GracePartitions::Append(
-                parts_.probe, spill_row_, static_cast<size_t>(lk_)))) {
-          return;
-        }
-      }
-    }
-    if (ctx_->Failed()) return;
-    SealSpillFiles(parts_.probe);
-  }
-
- private:
-  TypeId LeftKeyType() const {
-    return plan_->children[0]->output_cols[static_cast<size_t>(lk_)].type;
-  }
-  TypeId RightKeyType() const {
-    return plan_->children[1]->output_cols[rk_].type;
-  }
-
-  std::shared_ptr<JoinBuildState> NewBuildState() const {
-    auto state = std::make_shared<JoinBuildState>();
-    state->build_cols.assign(right_width_, {});
-    state->rk = rk_;
-    return state;
-  }
-
-  /// Fills `probe_` with the next probe batch: from the probe child in
-  /// memory; once spilled, from the current probe partition file, loading
-  /// the next partition pair whenever one is exhausted. A spilled probe
-  /// batch never spans partitions, since it is probed against the one
-  /// loaded partition. False at the end.
-  bool NextProbeBatch() {
-    if (!parts_.spilled()) return left_->NextBatch(&probe_);
-    probe_.Reset(left_width_, batch_capacity_);
-    Row row;
-    while (!probe_.full()) {
-      if (state_ == nullptr) {
-        if (next_part_ >= parts_.build.size() || !LoadPartition(next_part_)) {
-          return false;
-        }
-        ++next_part_;
-      }
-      auto more = parts_.probe[next_part_ - 1]->ReadNext(&row);
-      if (!ctx_->Check(more.status())) return false;
-      if (!more.value()) {
-        if (probe_.num_rows() > 0) break;  // probe these first
-        state_.reset();  // partition pair done
-        continue;
-      }
-      probe_.AppendRow(std::move(row));
-    }
-    return ctx_->GovernorTick(probe_.num_rows());
-  }
-
-  /// Opens the partition files and moves the columns built so far into the
-  /// build partitions; `spill_row_` then serves as the build-row scratch.
-  bool BeginSpill() {
-    if (!ctx_->Check(parts_.Open(ctx_->spill.partitions, ctx_->spill.dir))) {
-      return false;
-    }
-    spill_row_.resize(right_width_);
-    for (size_t i = 0; i < state_->num_build_rows(); ++i) {
-      for (size_t c = 0; c < right_width_; ++c) {
-        spill_row_[c] = std::move(state_->build_cols[c][i]);
-      }
-      if (!ctx_->Check(
-              GracePartitions::Append(parts_.build, spill_row_, rk_))) {
-        return false;
-      }
-    }
-    state_ = NewBuildState();
-    return true;
-  }
-
-  /// Reads build partition `p` into a fresh JoinBuildState and rewinds its
-  /// probe file.
-  bool LoadPartition(size_t p) {
-    if (!ctx_->Check(parts_.build[p]->Rewind()) ||
-        !ctx_->Check(parts_.probe[p]->Rewind())) {
-      return false;
-    }
-    state_ = NewBuildState();
-    Row row;
-    for (;;) {
-      auto more = parts_.build[p]->ReadNext(&row);
-      if (!ctx_->Check(more.status())) return false;
-      if (!more.value()) break;
-      for (size_t c = 0; c < right_width_; ++c) {
-        state_->build_cols[c].push_back(std::move(row[c]));
-      }
-    }
-    // One partition is resident at a time: the peak is the largest one.
-    uint64_t bytes = state_->num_build_rows() * ModeledRowBytes(right_width_);
-    if (bytes > mem_charged_) {
-      ChargeMem(bytes - mem_charged_);
-      mem_charged_ = bytes;
-    }
-    state_->Finalize(LeftKeyType(), RightKeyType());
-    return true;
-  }
-
-  /// Widths and the combined output column map, derived from the plan's
-  /// children so the probe-only variant (no right executor) agrees exactly
-  /// with the self-building one.
-  void InitShape() {
-    const PhysicalPlan& lp = *plan_->children[0];
-    const PhysicalPlan& rp = *plan_->children[1];
-    left_width_ = lp.output_cols.size();
-    right_width_ = rp.output_cols.size();
-    for (size_t i = 0; i < left_width_; ++i) {
-      combined_map_[lp.output_cols[i].id] = static_cast<int>(i);
-    }
-    for (size_t i = 0; i < right_width_; ++i) {
-      combined_map_[rp.output_cols[i].id] =
-          static_cast<int>(left_width_ + i);
-    }
-  }
-
-  /// Probes one row: collects its matching build rows into `matches_`
-  /// (emitted by NextBatchImpl as combined rows for inner, cross and
-  /// matched left outer joins) and emits at most one row itself — the
-  /// null-padded row of an unmatched left outer probe, or the left row of
-  /// a semi/anti join.
-  void ProbeRow(uint32_t prow, RowBatch* out) {
-    matches_.clear();
-    match_pos_ = 0;
-    match_prow_ = prow;
-    const Value& key = probe_.At(lk_, prow);
-    if (!key.is_null()) {
-      if (plan_->predicate && residual_prog_ != nullptr) {
-        // Vectorized residual: gather the candidate matches into a scratch
-        // batch (only the columns the program reads) and filter them in
-        // one program run instead of one tree-walk per match.
-        candidates_.clear();
-        state_->ForEachMatch(key, [&](size_t b) { candidates_.push_back(b); });
-        FilterCandidates(prow);
-      } else {
-        state_->ForEachMatch(key, [&](size_t b) {
-          if (plan_->predicate && !ResidualPass(prow, b)) return;
-          matches_.push_back(b);
-        });
-      }
-    }
-    switch (plan_->join_type) {
-      case JoinType::kInner:
-      case JoinType::kCross:
-        break;
-      case JoinType::kLeftOuter:
-        if (matches_.empty()) AppendNullPadded(prow, out);
-        break;
-      case JoinType::kSemi:
-      case JoinType::kAnti:
-        if (matches_.empty() == (plan_->join_type == JoinType::kAnti)) {
-          AppendLeft(prow, out);
-        }
-        matches_.clear();
-        break;
-    }
-  }
-
-  /// Runs the compiled residual over `candidates_`, appending survivors to
-  /// `matches_` (in candidate order, matching the interpreted path).
-  void FilterCandidates(uint32_t prow) {
-    const size_t m = candidates_.size();
-    if (m == 0) return;
-    scratch_.Reset(left_width_ + right_width_, m);
-    for (int pos : residual_prog_->referenced_cols()) {
-      std::vector<Value>& col = scratch_.column(static_cast<size_t>(pos));
-      col.resize(m);
-      if (static_cast<size_t>(pos) < left_width_) {
-        // Left columns splat the probe row's value.
-        const Value& v = probe_.At(static_cast<size_t>(pos), prow);
-        for (size_t k = 0; k < m; ++k) col[k] = v;
-      } else {
-        const std::vector<Value>& build =
-            state_->build_cols[static_cast<size_t>(pos) - left_width_];
-        for (size_t k = 0; k < m; ++k) col[k] = build[candidates_[k]];
-      }
-    }
-    scratch_.SetIdentitySelection(m);
-    residual_prog_->FilterBatch(&scratch_, &expr_state_);
-    for (uint32_t k : scratch_.selection()) {
-      matches_.push_back(candidates_[k]);
-    }
-  }
-
-  bool ResidualPass(uint32_t prow, size_t bidx) {
-    combined_.clear();
-    combined_.reserve(left_width_ + right_width_);
-    for (size_t c = 0; c < left_width_; ++c) {
-      combined_.push_back(probe_.At(c, prow));
-    }
-    for (size_t c = 0; c < right_width_; ++c) {
-      combined_.push_back(state_->build_cols[c][bidx]);
-    }
-    EvalContext ev{&combined_map_, &combined_, &ctx_->params};
-    return EvalPredicate(plan_->predicate, ev);
-  }
-
-  void AppendCombined(uint32_t prow, size_t bidx, RowBatch* out) {
-    for (size_t c = 0; c < left_width_; ++c) {
-      out->column(c).push_back(probe_.At(c, prow));
-    }
-    for (size_t c = 0; c < right_width_; ++c) {
-      out->column(left_width_ + c).push_back(state_->build_cols[c][bidx]);
-    }
-    out->CommitRow();
-    ++ctx_->stats.rows_joined;
-  }
-
-  void AppendNullPadded(uint32_t prow, RowBatch* out) {
-    for (size_t c = 0; c < left_width_; ++c) {
-      out->column(c).push_back(probe_.At(c, prow));
-    }
-    for (size_t c = 0; c < right_width_; ++c) {
-      out->column(left_width_ + c).push_back(Value::Null());
-    }
-    out->CommitRow();
-    ++ctx_->stats.rows_joined;
-  }
-
-  void AppendLeft(uint32_t prow, RowBatch* out) {
-    for (size_t c = 0; c < left_width_; ++c) {
-      out->column(c).push_back(probe_.At(c, prow));
-    }
-    out->CommitRow();
-    ++ctx_->stats.rows_joined;
-  }
-
-  std::unique_ptr<Executor> left_;
-  std::unique_ptr<Executor> right_;  ///< Null in the probe-only variant.
-  /// The build side being probed: the whole build in memory, or once
-  /// spilled the loaded partition (null between partitions).
-  std::shared_ptr<JoinBuildState> state_;
-  size_t rk_ = 0;  ///< Build key position in the right child's layout.
-  GracePartitions parts_;  ///< Empty until the build crosses the budget.
-  size_t next_part_ = 0;   ///< Next partition pair to load.
-  Row spill_row_;         ///< Row scratch for partition-file appends.
-  uint64_t mem_charged_ = 0;  ///< Largest partition charged via ChargeMem.
-  size_t left_width_ = 0;
-  size_t right_width_ = 0;
-  ColMap combined_map_;
-  /// Matching build rows of probe row `match_prow_`; the first
-  /// `match_pos_` are already emitted.
-  std::vector<size_t> matches_;
-  size_t match_pos_ = 0;
-  uint32_t match_prow_ = 0;
-  int lk_ = 0;
-  RowBatch probe_;
-  size_t probe_pos_ = 0;
-  bool done_ = false;
-  Row combined_;
-  std::shared_ptr<const expr::ExprProgram> residual_prog_;
-  std::vector<size_t> candidates_;
-  RowBatch scratch_;
-  expr::ExprExecState expr_state_;
-};
-
 }  // namespace
 
 std::unique_ptr<Executor> NewBatchScanExec(const PhysicalPlan* plan,
@@ -857,24 +446,10 @@ std::unique_ptr<Executor> NewBatchProjectExec(const PhysicalPlan* plan,
   return std::make_unique<BatchProjectExec>(plan, ctx, std::move(child));
 }
 
-std::unique_ptr<Executor> NewBatchHashJoinExec(
-    const PhysicalPlan* plan, ExecContext* ctx,
-    std::unique_ptr<Executor> left, std::unique_ptr<Executor> right) {
-  return std::make_unique<BatchHashJoinExec>(plan, ctx, std::move(left),
-                                             std::move(right));
-}
-
 std::unique_ptr<Executor> NewMorselScanExec(const PhysicalPlan* plan,
                                             ExecContext* ctx,
                                             MorselSource* morsels) {
   return std::make_unique<BatchScanExec>(plan, ctx, morsels);
-}
-
-std::unique_ptr<Executor> NewBatchHashProbeExec(
-    const PhysicalPlan* plan, ExecContext* ctx,
-    std::unique_ptr<Executor> left, std::shared_ptr<JoinBuildState> state) {
-  return std::make_unique<BatchHashJoinExec>(plan, ctx, std::move(left),
-                                             std::move(state));
 }
 
 }  // namespace qopt::exec::internal

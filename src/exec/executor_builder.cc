@@ -118,7 +118,6 @@ std::unique_ptr<Executor> BuildNode(
     case PhysOpKind::kLimit:
       return NewLimitExec(plan.get(), ctx, child(0));
     case PhysOpKind::kHashJoin:
-      return NewBatchHashJoinExec(plan.get(), ctx, child(0), child(1));
     case PhysOpKind::kNestedLoopJoin:
     case PhysOpKind::kIndexNestedLoopJoin:
     case PhysOpKind::kMergeJoin:

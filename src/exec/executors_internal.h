@@ -21,9 +21,9 @@ inline size_t ReserveHint(double est_rows, size_t cap = 1u << 20) {
 }
 
 /// Reads a child executor's rows one at a time, a batch at a time beneath:
-/// how the operators that work row by row (the non-hash joins, Apply, the
-/// streaming aggregate, sort, set operations) consume their inputs. The
-/// rows are moved out of the child's batch, so each is read once.
+/// how the operators that work row by row (Apply, the streaming aggregate,
+/// sort, set operations) consume their inputs. The rows are moved out of
+/// the child's batch, so each is read once.
 class ChildCursor {
  public:
   explicit ChildCursor(Executor* child) : child_(child) {}
@@ -59,10 +59,6 @@ std::unique_ptr<Executor> NewDistinctExec(const PhysicalPlan* plan,
 std::unique_ptr<Executor> NewLimitExec(const PhysicalPlan* plan,
                                        ExecContext* ctx,
                                        std::unique_ptr<Executor> child);
-std::unique_ptr<Executor> NewJoinExec(const PhysicalPlan* plan,
-                                      ExecContext* ctx,
-                                      std::unique_ptr<Executor> left,
-                                      std::unique_ptr<Executor> right);
 std::unique_ptr<Executor> NewApplyExec(const PhysicalPlan* plan,
                                        ExecContext* ctx,
                                        std::unique_ptr<Executor> left,
@@ -78,9 +74,11 @@ std::unique_ptr<Executor> NewHashSetOpExec(const PhysicalPlan* plan,
                                            std::unique_ptr<Executor> left,
                                            std::unique_ptr<Executor> right);
 
-// Column-at-a-time implementations; see batch_executors.cc. The only
-// implementations of scan, filter, projection and hash join: the
-// builder runs them at batch capacity 1 where read-ahead must not happen.
+// Column-at-a-time implementations; see batch_executors.cc and, for the
+// binary joins (hash, nested loop, merge, index nested loop — one
+// JoinExec), join_executors.cc. The only implementations of scan, filter,
+// projection and join: the builder runs them at batch capacity 1 where
+// read-ahead must not happen.
 std::unique_ptr<Executor> NewBatchScanExec(const PhysicalPlan* plan,
                                            ExecContext* ctx);
 std::unique_ptr<Executor> NewBatchFilterExec(const PhysicalPlan* plan,
@@ -89,10 +87,10 @@ std::unique_ptr<Executor> NewBatchFilterExec(const PhysicalPlan* plan,
 std::unique_ptr<Executor> NewBatchProjectExec(const PhysicalPlan* plan,
                                               ExecContext* ctx,
                                               std::unique_ptr<Executor> child);
-std::unique_ptr<Executor> NewBatchHashJoinExec(const PhysicalPlan* plan,
-                                               ExecContext* ctx,
-                                               std::unique_ptr<Executor> left,
-                                               std::unique_ptr<Executor> right);
+std::unique_ptr<Executor> NewJoinExec(const PhysicalPlan* plan,
+                                      ExecContext* ctx,
+                                      std::unique_ptr<Executor> left,
+                                      std::unique_ptr<Executor> right);
 
 // Morsel-parallel building blocks; see parallel_executors.cc / DESIGN.md
 // §3.8.

@@ -1,8 +1,9 @@
 // Runtime expression evaluation with SQL three-valued logic.
 //
 // Two entry points: the scalar evaluator (EvalExpr / EvalPredicate) used by
-// the operators that work on whole rows (non-hash joins, Apply, the
-// streaming aggregate), and the batch evaluator
+// the operators that work on whole rows (Apply, the streaming aggregate,
+// the index nested-loop join's inner predicate on storage rows, a join
+// residual that does not compile), and the batch evaluator
 // (EvalExprBatch / EvalPredicateBatch) used by the vectorized operators,
 // which evaluates an expression over every live row of a RowBatch in one
 // call. Both implement identical SQL semantics.

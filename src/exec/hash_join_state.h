@@ -1,8 +1,9 @@
 // JoinBuildState: the materialized build side of a hash join, separated
 // from the probing executor so it can be (a) built once and probed by many
 // worker threads under ExecMode::kParallel, or (b) owned privately by the
-// serial BatchHashJoinExec — identical layout and match semantics either
-// way (DESIGN.md §3.8).
+// serial JoinExec — identical layout and match semantics either way
+// (DESIGN.md §3.8). JoinExec's other join methods reuse its columnar
+// build store without the hash table (DESIGN.md §3.6).
 //
 // The build store is columnar: values move straight out of the build-side
 // child batches. Int64-keyed joins use a chained head/next layout (one hash

@@ -423,23 +423,19 @@ void CollectReadColumns(const PhysicalPlan& node, std::set<ColumnId>* read) {
   }
 }
 
-/// Copy of `node` with scans narrowed to `read` (unless `full_width`) and
-/// pass-through output columns rebuilt from the pruned children.
-PhysPtr Prune(const PhysicalPlan& node, const std::set<ColumnId>& read,
-              bool full_width = false) {
+/// Copy of `node` with scans narrowed to `read` and pass-through output
+/// columns rebuilt from the pruned children.
+PhysPtr Prune(const PhysicalPlan& node, const std::set<ColumnId>& read) {
   auto copy = std::make_shared<PhysicalPlan>(node);
   for (size_t i = 0; i < copy->children.size(); ++i) {
-    bool inl_inner = node.kind == PhysOpKind::kIndexNestedLoopJoin && i == 1;
-    copy->children[i] = Prune(*node.children[i], read, inl_inner);
+    copy->children[i] = Prune(*node.children[i], read);
   }
   switch (node.kind) {
     case PhysOpKind::kTableScan:
     case PhysOpKind::kIndexScan:
-      if (!full_width) {
-        copy->output_cols.clear();
-        for (const plan::OutputCol& c : node.output_cols) {
-          if (read.count(c.id) > 0) copy->output_cols.push_back(c);
-        }
+      copy->output_cols.clear();
+      for (const plan::OutputCol& c : node.output_cols) {
+        if (read.count(c.id) > 0) copy->output_cols.push_back(c);
       }
       break;
     case PhysOpKind::kFilter:

@@ -210,10 +210,8 @@ bool MatchScanPrefilter(const plan::BExpr& conjunct, int rel_id,
 /// sort keys, Apply's correlated and scalar columns, the root's output, and
 /// every input column of UnionAll, HashExcept, HashIntersect and Distinct).
 /// Pass-through operators (Filter, Sort, Limit, Distinct, joins, Apply)
-/// get their output columns rebuilt from the pruned children. The inner
-/// scan of an index nested-loops join keeps its full width: the join
-/// evaluates the inner residual against storage rows. The root's output
-/// columns are unchanged.
+/// get their output columns rebuilt from the pruned children. The root's
+/// output columns are unchanged.
 PhysPtr PruneColumns(const PhysPtr& root);
 
 }  // namespace qopt::exec

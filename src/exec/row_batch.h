@@ -7,7 +7,7 @@
 // join output) emit compacted batches whose selection is the identity.
 //
 // Every executor produces RowBatches (Executor::NextBatch). Operators that
-// work on whole rows (sort, the non-hash joins, the streaming aggregate)
+// work on whole rows (sort, Apply, the streaming aggregate)
 // read their children's batches a row at a time through a ChildCursor and
 // append rows to their output batch; pass-through operators (limit,
 // distinct, set operations) hand their child's batch on with a shrunk

@@ -96,6 +96,7 @@ class ExecTestBase : public ::testing::Test {
     ctx.catalog = &catalog_;
     ctx.mode = mode;
     ctx.batch_capacity = batch_capacity;
+    ctx.compile_expressions = compile_expressions_;
     ModeResult r;
     r.rows = ExecuteAll(plan, &ctx).value();
     r.stats = ctx.stats;
@@ -153,6 +154,7 @@ class ExecTestBase : public ::testing::Test {
 
   Catalog catalog_;
   std::unique_ptr<Storage> storage_;
+  bool compile_expressions_ = true;  ///< RunMode's expression compilation.
 };
 
 }  // namespace qopt::exec

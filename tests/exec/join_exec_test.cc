@@ -71,10 +71,65 @@ TEST_P(JoinAlgTest, SemiJoin) {
 }
 
 TEST_P(JoinAlgTest, AntiJoin) {
-  if (GetParam() == JoinAlg::kMerge) GTEST_SKIP() << "anti not via merge";
   std::vector<Row> rows =
       RunAtEveryCapacity(BuildJoin(JoinType::kAnti)).rows;
   ASSERT_EQ(rows.size(), 2u);  // emp 4 (dept 30), emp 5 (NULL dept)
+}
+
+TEST_P(JoinAlgTest, ResidualDecidesMatches) {
+  // emp ⋈ dept on emp.dept = dept.id with the join residual emp.sal > 100,
+  // over a dept input that emits only dept.id and drops 'hr' by a filter on
+  // the (unemitted) name column — for index nested loops, the inner
+  // IndexScan's own predicate, checked against the storage row.
+  ColumnId lk{0, 1}, rk{1, 0};
+  const std::vector<plan::OutputCol> dept_id = {DeptCols()[0]};
+  auto not_hr = [] {
+    return plan::MakeBinary(ast::BinaryOp::kNe, Col(1, 1, TypeId::kString),
+                            plan::MakeLiteral(Value::String("hr")));
+  };
+  auto residual = [] {
+    return plan::MakeBinary(ast::BinaryOp::kGt, Col(0, 2), Lit(100));
+  };
+  auto build = [&](JoinType type) -> PhysPtr {
+    PhysPtr dept = MakeTableScan(1, 1, "dept", dept_id, not_hr());
+    switch (GetParam()) {
+      case JoinAlg::kNL:
+        return MakeNestedLoopJoin(
+            type, EmpScan(), dept,
+            plan::MakeBinary(ast::BinaryOp::kAnd, Eq(Col(0, 1), Col(1, 0)),
+                             residual()));
+      case JoinAlg::kHash:
+        return MakeHashJoin(type, EmpScan(), dept, lk, rk, residual());
+      case JoinAlg::kMerge:
+        return MakeMergeJoin(type, MakeSortExec(EmpScan(), {{lk, true}}),
+                             MakeSortExec(dept, {{rk, true}}), lk, rk,
+                             residual());
+      case JoinAlg::kIndexNL: {
+        PhysPtr inner = MakeIndexScan(1, 1, "dept", dept_id, /*index_id=*/1,
+                                      {}, {}, not_hr());
+        return MakeIndexNLJoin(type, EmpScan(), inner, lk, rk, residual());
+      }
+    }
+    return nullptr;
+  };
+  for (bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "interpreted");
+    compile_expressions_ = compiled;
+    // Only emp 2 (dept 10, sal 200) survives: emp 1 matches dept 10 but
+    // fails the residual, emp 3's dept 20 is 'hr'.
+    std::vector<Row> inner = RunAtEveryCapacity(build(JoinType::kInner)).rows;
+    ASSERT_EQ(inner.size(), 1u);
+    EXPECT_EQ(inner[0].size(), 4u);
+    EXPECT_EQ(inner[0][0].AsInt(), 2);
+    EXPECT_EQ(inner[0][3].AsInt(), 10);
+    // Left outer: emp 1 is padded by the residual alone.
+    std::vector<Row> outer =
+        RunAtEveryCapacity(build(JoinType::kLeftOuter)).rows;
+    ASSERT_EQ(outer.size(), 5u);
+    for (const Row& r : outer) {
+      EXPECT_EQ(r[3].is_null(), r[0].AsInt() != 2) << RowToString(r);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, JoinAlgTest,
@@ -148,6 +203,65 @@ TEST_F(JoinEdgeCaseTest, MergeJoinDuplicateKeys) {
                              MakeSortExec(right, {{{2, 1}, true}}), lk,
                              {2, 1}, nullptr);
   EXPECT_EQ(Run(mj).size(), 6u);
+}
+
+// A join whose output dwarfs its inputs must still honour the deadline:
+// 1000 probe rows x 20000 build rows on one key is 20M output rows under a
+// COUNT(*), with a 20 ms deadline. The join ticks the governor once per
+// output batch, whichever method produces it.
+class JoinDeadlineTest : public ExecTestBase {
+ protected:
+  void SetUp() override {
+    ExecTestBase::SetUp();
+    for (const auto& [name, rows] :
+         {std::pair<const char*, int>{"probe", 1000}, {"build", 20000}}) {
+      auto id = catalog_.CreateTable(name, {{"k", TypeId::kInt64}}, 0);
+      ASSERT_TRUE(id.ok());
+      std::vector<Row> data(static_cast<size_t>(rows), Row{Value::Int(1)});
+      storage_->GetTable(*id)->AppendUnchecked(std::move(data));
+    }
+  }
+
+  /// Runs COUNT(*) over probe ⋈ build (`hash` or nested loop) in `mode`,
+  /// batch mode at capacity 1024, under a 20 ms deadline.
+  Status RunCount(bool hash, ExecMode mode) {
+    PhysPtr probe = MakeTableScan(
+        2, 2, "probe", {{{2, 0}, TypeId::kInt64, "p.k"}}, nullptr);
+    PhysPtr build = MakeTableScan(
+        3, 3, "build", {{{3, 0}, TypeId::kInt64, "b.k"}}, nullptr);
+    PhysPtr join =
+        hash ? MakeHashJoin(JoinType::kInner, probe, build, {2, 0}, {3, 0},
+                            nullptr)
+             : MakeNestedLoopJoin(JoinType::kInner, probe, build,
+                                  Eq(Col(2, 0), Col(3, 0)));
+    plan::AggItem count;
+    count.func = ast::AggFunc::kCountStar;
+    count.output = {9, 0};
+    count.type = TypeId::kInt64;
+    count.name = "COUNT(*)";
+    PhysPtr agg = MakeHashAggregate(join, {}, {count},
+                                    {{{9, 0}, TypeId::kInt64, "COUNT(*)"}});
+    GovernorOptions options;
+    options.deadline_ms = 20;
+    ResourceGovernor governor(options);
+    ExecContext ctx;
+    ctx.storage = storage_.get();
+    ctx.catalog = &catalog_;
+    ctx.mode = mode;
+    ctx.batch_capacity = 1024;
+    ctx.governor = &governor;
+    return ExecuteAll(agg, &ctx).status();
+  }
+};
+
+TEST_F(JoinDeadlineTest, LargeJoinOutputIsCancelled) {
+  for (bool hash : {true, false}) {
+    for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+      SCOPED_TRACE(std::string(hash ? "hash" : "nested loop") +
+                   (mode == ExecMode::kRow ? ", row mode" : ", batch 1024"));
+      EXPECT_EQ(RunCount(hash, mode).code(), StatusCode::kCancelled);
+    }
+  }
 }
 
 // Apply cases run in row mode and in batch mode at capacities 2 and 1024.

@@ -218,10 +218,11 @@ TEST_F(ColumnPruningTest, CorrelatedSubqueriesUnderApply) {
         no_rewrites);
 }
 
-TEST_F(ColumnPruningTest, IndexNestedLoopsInnerKeepsFullWidth) {
+TEST_F(ColumnPruningTest, IndexNestedLoopsInnerIsPruned) {
   // Only index nested-loops joins are enabled; Emp's did index makes Emp
-  // the inner. The join evaluates the inner residual against storage
-  // rows, so the inner scan stays full width while the outer is pruned.
+  // the inner. The inner is pruned like every other scan: the join checks
+  // the inner scan's predicate (e.sal > 70000) against the storage row, so
+  // the unemitted sal column still filters.
   QueryOptions inl;
   inl.optimizer.selinger.enable_nl_join = false;
   inl.optimizer.selinger.enable_merge_join = false;
@@ -233,7 +234,7 @@ TEST_F(ColumnPruningTest, IndexNestedLoopsInnerKeepsFullWidth) {
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(HasKind(**plan, exec::PhysOpKind::kIndexNestedLoopJoin))
       << (*plan)->ToString();
-  Check(sql, {"d(d.did,d.name)", kAllEmp}, inl);
+  Check(sql, {"d(d.did,d.name)", "e(e.eid,e.did)"}, inl);
 }
 
 TEST_F(ColumnPruningTest, IntColumnAgainstDoubleConstantPrefilter) {
