@@ -179,11 +179,16 @@ Status Database::Execute(const std::string& sql) {
         return Status::NotFound("no table '" + ins.table + "'");
       }
       Table* table = storage_.GetTable(def->id);
+      const size_t first_new = table->num_rows();
+      Status st;
       for (const std::vector<Value>& row : ins.rows) {
-        QOPT_RETURN_IF_ERROR(table->Append(row));
+        st = table->Append(row);
+        if (!st.ok()) break;
       }
-      storage_.InvalidateIndexes(def->id);
-      return Status::OK();
+      // The rows appended before a failing one stay, so the indexes must
+      // cover them either way.
+      storage_.IndexAppendedRows(def->id, first_new);
+      return st;
     }
     case ast::Statement::Kind::kSelect:
     case ast::Statement::Kind::kExplain:

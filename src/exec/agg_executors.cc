@@ -84,17 +84,32 @@ void GroupTable::Drain(Executor* input, const AggPrograms& progs,
         EvalExprBatch(*aggs[i].arg, bev, &argv[i]);
       }
     }
-    for (size_t k = 0; k < n; ++k) {
-      const uint32_t r = b.ActiveIndex(k);
-      probe_.clear();
-      for (int p : key_pos_) probe_.push_back(b.At(p, r));
+    // The group of the probe key; nullptr once the governor trips.
+    auto find_or_insert = [&]() -> std::vector<AggAcc>* {
       auto it = groups_.find(probe_);
       if (it == groups_.end()) {
-        if (!ctx->GovernorCharge(1, group_bytes)) return;
+        if (!ctx->GovernorCharge(1, group_bytes)) return nullptr;
         it = groups_.emplace(probe_, NewGroup(aggs)).first;
         order_.push_back(&*it);
       }
-      std::vector<AggAcc>& accs = it->second.accs;
+      return &it->second.accs;
+    };
+    // A global aggregate's one group (empty key) is looked up once per
+    // batch instead of once per row.
+    std::vector<AggAcc>* global = nullptr;
+    if (key_pos_.empty()) {
+      probe_.clear();
+      if ((global = find_or_insert()) == nullptr) return;
+    }
+    for (size_t k = 0; k < n; ++k) {
+      std::vector<AggAcc>* group = global;
+      if (group == nullptr) {
+        const uint32_t r = b.ActiveIndex(k);
+        probe_.clear();
+        for (int p : key_pos_) probe_.push_back(b.At(p, r));
+        if ((group = find_or_insert()) == nullptr) return;
+      }
+      std::vector<AggAcc>& accs = *group;
       for (size_t i = 0; i < na; ++i) {
         if (HasArg(aggs[i])) {
           accs[i].Accumulate(argv[i][k]);

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -84,8 +85,9 @@ class BatchScanExec : public Executor {
     if (!use_ids_) {
       // Sequential scan: touches of the same data page are immediately
       // adjacent, so a repeat touch is a guaranteed LRU-front hit and can
-      // skip the pool; stats are bulk-incremented after the loop. Rows
-      // failing the constant-comparison prefilter are never copied.
+      // skip the pool; stats are bulk-incremented after the loop. Each
+      // page run is read as chunks of rids narrowed by the
+      // constant-comparison prefilter, so failing rows are never copied.
       // Page numbers are monotone in rid, so the page formula runs once
       // per page run (the exact boundary is found with the same per-row
       // formula), not once per row.
@@ -113,9 +115,13 @@ class BatchScanExec : public Executor {
           while (hi > pos_ + 1 && page_of(hi - 1) != cur_page) --hi;
           run_end = hi;
         }
-        const Row& row = table_->row(static_cast<uint32_t>(pos_));
-        ++pos_;
-        if (FastPass(row)) AppendStorageRow(row, out);
+        // A chunk never holds more rows than the batch has room for, so the
+        // batch fills on the same row as a row-at-a-time loop would.
+        const size_t end = std::min(run_end, pos_ + Room(*out));
+        rids_.resize(end - pos_);
+        std::iota(rids_.begin(), rids_.end(), static_cast<uint32_t>(pos_));
+        pos_ = end;
+        EmitChunk(out);
       }
       ctx_->stats.page_touches += pos_ - start;
       ctx_->stats.rows_scanned += pos_ - start;
@@ -123,17 +129,19 @@ class BatchScanExec : public Executor {
       // Index scan: leaf and data pages interleave, so every touch goes
       // through the pool in row order.
       while (pos_ < n && !out->full()) {
-        uint32_t rid = row_ids_[pos_];
-        ctx_->TouchPage(BufferPoolSim::IndexPage(
-            plan_->index_id, 1000 + pos_ / 256));
-        ctx_->TouchPage(BufferPoolSim::DataPage(
-            plan_->table_id,
-            static_cast<uint64_t>(
-                static_cast<double>(rid) * table_->num_pages() / rows)));
-        ++ctx_->stats.rows_scanned;
-        ++pos_;
-        const Row& row = table_->row(rid);
-        if (FastPass(row)) AppendStorageRow(row, out);
+        const size_t end = std::min(n, pos_ + Room(*out));
+        rids_.assign(row_ids_.begin() + static_cast<ptrdiff_t>(pos_),
+                     row_ids_.begin() + static_cast<ptrdiff_t>(end));
+        for (; pos_ < end; ++pos_) {
+          ctx_->TouchPage(BufferPoolSim::IndexPage(
+              plan_->index_id, 1000 + pos_ / 256));
+          ctx_->TouchPage(BufferPoolSim::DataPage(
+              plan_->table_id,
+              static_cast<uint64_t>(static_cast<double>(row_ids_[pos_]) *
+                                    table_->num_pages() / rows)));
+        }
+        ctx_->stats.rows_scanned += rids_.size();
+        EmitChunk(out);
       }
     }
     if (!ctx_->GovernorTick(pos_ - batch_start)) return false;
@@ -200,11 +208,10 @@ class BatchScanExec : public Executor {
 
  private:
   /// Splits the scan predicate into prefilter conjuncts (ScanPrefilter:
-  /// `column <op> constant`, checked directly against storage rows before
-  /// any copy) and a residual evaluated batch-wise. Scalar comparison
-  /// semantics are Value::Compare with NULL rejecting, exactly what
-  /// FastPass does. Depends only on the plan node, so it runs once per
-  /// executor, not per rescan.
+  /// `column <op> constant`, checked by Table::Select against the storage
+  /// columns before any copy) and a residual evaluated batch-wise. Scalar
+  /// comparison semantics are Value::Compare with NULL rejecting. Depends
+  /// only on the plan node, so it runs once per executor, not per rescan.
   void SplitPredicate() {
     residual_ = plan_->predicate;
     if (!plan_->predicate) return;
@@ -217,16 +224,8 @@ class BatchScanExec : public Executor {
         rest.push_back(c);
         continue;
       }
-      FastPred p{static_cast<size_t>(pre.column.col), pre.op,
-                 std::move(pre.constant)};
-      if (pre.type == TypeId::kInt64 && p.constant.type() == TypeId::kInt64) {
-        p.kind = CmpKind::kIntInt;
-        p.iconst = p.constant.AsInt();
-      } else if (IsNumeric(pre.type) && IsNumeric(p.constant.type())) {
-        p.kind = CmpKind::kNumeric;
-        p.dconst = p.constant.AsNumeric();
-      }
-      fast_preds_.push_back(std::move(p));
+      fast_preds_.emplace_back(static_cast<size_t>(pre.column.col), pre.type,
+                               ToCmpOp(pre.op), std::move(pre.constant));
     }
     if (!fast_preds_.empty()) {
       residual_ =
@@ -234,70 +233,42 @@ class BatchScanExec : public Executor {
     }
   }
 
-  /// How a FastPred's comparison executes. Specialized kinds inline the
-  /// relevant branch of Value::Compare (same coercion rules, no dispatch).
-  enum class CmpKind { kIntInt, kNumeric, kGeneric };
-
-  struct FastPred {
-    size_t pos;        ///< Column position in the storage row.
-    ast::BinaryOp op;  ///< Comparison, normalized column-on-left.
-    Value constant;
-    CmpKind kind = CmpKind::kGeneric;
-    int64_t iconst = 0;  ///< kIntInt
-    double dconst = 0;   ///< kNumeric
-  };
-
-  static bool KeepByOp(ast::BinaryOp op, int c) {
+  static CmpOp ToCmpOp(ast::BinaryOp op) {
     switch (op) {
-      case ast::BinaryOp::kEq: return c == 0;
-      case ast::BinaryOp::kNe: return c != 0;
-      case ast::BinaryOp::kLt: return c < 0;
-      case ast::BinaryOp::kLe: return c <= 0;
-      case ast::BinaryOp::kGt: return c > 0;
-      case ast::BinaryOp::kGe: return c >= 0;
-      default: return false;  // unreachable: MatchColumnConstant filters ops
+      case ast::BinaryOp::kEq: return CmpOp::kEq;
+      case ast::BinaryOp::kNe: return CmpOp::kNe;
+      case ast::BinaryOp::kLt: return CmpOp::kLt;
+      case ast::BinaryOp::kLe: return CmpOp::kLe;
+      case ast::BinaryOp::kGt: return CmpOp::kGt;
+      case ast::BinaryOp::kGe: return CmpOp::kGe;
+      default: break;  // unreachable: MatchColumnConstant filters ops
     }
+    QOPT_DCHECK(false);
+    return CmpOp::kEq;
   }
 
-  /// True iff `row` passes every constant-comparison conjunct (NULL in the
-  /// column rejects, matching three-valued comparison semantics).
-  bool FastPass(const Row& row) const {
-    for (const FastPred& p : fast_preds_) {
-      const Value& v = row[p.pos];
-      if (v.is_null()) return false;
-      int c = 0;
-      switch (p.kind) {
-        case CmpKind::kIntInt: {
-          int64_t a = v.AsInt();
-          c = a < p.iconst ? -1 : (a > p.iconst ? 1 : 0);
-          break;
-        }
-        case CmpKind::kNumeric: {
-          double a = v.AsNumeric();
-          c = a < p.dconst ? -1 : (a > p.dconst ? 1 : 0);
-          break;
-        }
-        case CmpKind::kGeneric:
-          c = v.Compare(p.constant);
-          break;
-      }
-      if (!KeepByOp(p.op, c)) return false;
-    }
-    return true;
+  static size_t Room(const RowBatch& out) {
+    return out.capacity() - out.num_rows();
   }
 
-  /// Copies the emitted cells of storage row `row` into `out`.
-  void AppendStorageRow(const Row& row, RowBatch* out) const {
+  /// Narrows the chunk's rids (`rids_`) through every prefilter conjunct,
+  /// then appends the emitted columns of the rows left to `out`.
+  void EmitChunk(RowBatch* out) {
+    size_t m = rids_.size();
+    for (const ColumnPredicate& p : fast_preds_) {
+      m = table_->Select(p, rids_.data(), m);
+    }
     for (size_t k = 0; k < storage_pos_.size(); ++k) {
-      out->column(k).push_back(row[storage_pos_[k]]);
+      table_->Gather(storage_pos_[k], rids_.data(), m, &out->column(k));
     }
-    out->CommitRow();
+    out->CommitRows(m);
   }
 
   const Table* table_ = nullptr;
   std::vector<size_t> storage_pos_;  ///< Storage position per output column.
   std::vector<uint32_t> row_ids_;
-  std::vector<FastPred> fast_preds_;
+  std::vector<uint32_t> rids_;  ///< The current chunk's row ids.
+  std::vector<ColumnPredicate> fast_preds_;
   plan::BExpr residual_;
   std::shared_ptr<const expr::ExprProgram> residual_prog_;
   expr::ExprExecState expr_state_;

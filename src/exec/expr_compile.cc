@@ -771,7 +771,8 @@ void ExprProgram::Run(const RowBatch& batch, ExprExecState* state) const {
             any = true;
             dst.f64[k] = 0;
           } else {
-            dst.f64[k] = v.AsDouble();
+            // A DOUBLE column may hold INT cells (INSERT coerces nothing).
+            dst.f64[k] = v.AsNumeric();
           }
         }
         dst.has_nulls = any;

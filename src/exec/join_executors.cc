@@ -268,6 +268,7 @@ class JoinExec : public Executor {
         if (id.rel == rp.rel_id) inner_map_[id] = id.col;
       }
     }
+    inner_row_.assign(table_->def().columns.size(), Value());
   }
 
   /// Fills `probe_` with the next probe batch: the merge join's buffered
@@ -434,14 +435,17 @@ class JoinExec : public Executor {
       ctx_->TouchPage(BufferPoolSim::DataPage(
           rp.table_id, static_cast<uint64_t>(static_cast<double>(id) *
                                              table_->num_pages() / rows)));
-      const Row& r = table_->row(id);
       ++ctx_->stats.rows_scanned;
       if (rp.predicate) {
-        EvalContext ev{&inner_map_, &r, &ctx_->params};
+        for (const auto& [col, pos] : inner_map_) {
+          inner_row_[static_cast<size_t>(pos)] =
+              table_->Get(id, static_cast<size_t>(pos));
+        }
+        EvalContext ev{&inner_map_, &inner_row_, &ctx_->params};
         if (!EvalPredicate(rp.predicate, ev)) continue;
       }
       for (size_t c = 0; c < right_width_; ++c) {
-        state_->build_cols[c].push_back(r[inner_pos_[c]]);
+        state_->build_cols[c].push_back(table_->Get(id, inner_pos_[c]));
       }
       fn(b++);
     }
@@ -574,11 +578,13 @@ class JoinExec : public Executor {
   size_t merge_next_ = 0;
   size_t merge_pos_ = 0;
   /// Index nested loop: the inner index and table, the storage position
-  /// of each right output column, and the storage-row column map.
+  /// of each right output column, the storage-row column map, and the
+  /// scratch storage row holding the cells the inner predicate reads.
   const SortedIndex* index_ = nullptr;
   const Table* table_ = nullptr;
   std::vector<size_t> inner_pos_;
   ColMap inner_map_;
+  Row inner_row_;
   GracePartitions parts_;  ///< Empty until the build crosses the budget.
   size_t next_part_ = 0;   ///< Next partition pair to load.
   Row spill_row_;         ///< Row scratch for partition-file appends.

@@ -84,6 +84,15 @@ class RowBatch {
     ++num_rows_;
   }
 
+  /// Marks `n` rows appended after the caller pushed `n` values onto
+  /// every column. The new rows are live.
+  void CommitRows(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      sel_.push_back(static_cast<uint32_t>(num_rows_ + i));
+    }
+    num_rows_ += n;
+  }
+
   /// Replaces column `c` with `values` (projection output). The caller must
   /// finish with SetIdentitySelection(n) where n == values.size().
   void AdoptColumn(size_t c, std::vector<Value>&& values) {

@@ -124,7 +124,9 @@ std::shared_ptr<const TableStats> BuildTableStats(const Table& table,
   for (size_t c = 0; c < num_cols; ++c) {
     std::vector<Value> values;
     values.reserve(table.num_rows());
-    for (const Row& r : table.rows()) values.push_back(r[c]);
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      values.push_back(table.Get(r, c));
+    }
     ts->columns[c] = BuildColumnStats(values, options);
   }
 
@@ -151,10 +153,12 @@ std::shared_ptr<const TableStats> BuildTableStats(const Table& table,
     int lo = std::min(a, b), hi = std::max(a, b);
     std::vector<std::pair<double, double>> pairs;
     pairs.reserve(table.num_rows());
-    for (const Row& r : table.rows()) {
-      if (r[lo].is_null() || r[hi].is_null()) continue;
-      if (!IsNumeric(r[lo].type()) || !IsNumeric(r[hi].type())) break;
-      pairs.emplace_back(r[lo].AsNumeric(), r[hi].AsNumeric());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      const Value a = table.Get(r, static_cast<size_t>(lo));
+      const Value b = table.Get(r, static_cast<size_t>(hi));
+      if (a.is_null() || b.is_null()) continue;
+      if (!IsNumeric(a.type()) || !IsNumeric(b.type())) break;
+      pairs.emplace_back(a.AsNumeric(), b.AsNumeric());
     }
     if (auto h = Histogram2D::Build(std::move(pairs),
                                     options.histogram_buckets)) {

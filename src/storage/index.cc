@@ -9,9 +9,9 @@ SortedIndex::SortedIndex(const IndexDef* def, const Table* table)
     : def_(def) {
   entries_.reserve(table->num_rows());
   for (uint32_t i = 0; i < table->num_rows(); ++i) {
-    const Value& key = table->row(i)[def->column];
+    Value key = table->Get(i, static_cast<size_t>(def->column));
     if (key.is_null()) continue;
-    entries_.emplace_back(key, i);
+    entries_.emplace_back(std::move(key), i);
   }
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const auto& a, const auto& b) {
@@ -59,6 +59,16 @@ std::vector<uint32_t> SortedIndex::RangeScan(
   return out;
 }
 
+void SortedIndex::Insert(const Value& key, uint32_t rid) {
+  if (key.is_null()) return;
+  auto at = std::upper_bound(
+      entries_.begin(), entries_.end(), key,
+      [](const Value& v, const std::pair<Value, uint32_t>& e) {
+        return v.Compare(e.first) < 0;
+      });
+  entries_.emplace(at, key, rid);
+}
+
 std::vector<uint32_t> SortedIndex::FullScan() const {
   std::vector<uint32_t> out;
   out.reserve(entries_.size());
@@ -79,9 +89,9 @@ double SortedIndex::leaf_pages() const {
 
 HashIndex::HashIndex(const IndexDef* def, const Table* table) : def_(def) {
   for (uint32_t i = 0; i < table->num_rows(); ++i) {
-    const Value& key = table->row(i)[def->column];
+    Value key = table->Get(i, static_cast<size_t>(def->column));
     if (key.is_null()) continue;
-    map_.emplace(key, i);
+    map_.emplace(std::move(key), i);
   }
 }
 

@@ -37,6 +37,11 @@ class SortedIndex {
   std::vector<uint32_t> RangeScan(const std::optional<IndexBound>& lo,
                                   const std::optional<IndexBound>& hi) const;
 
+  /// Adds row `rid`, which must exceed every indexed rid, with key `key`
+  /// (a NULL key is skipped). It goes after the entries of equal keys, so
+  /// the entries stay exactly those a fresh build would produce.
+  void Insert(const Value& key, uint32_t rid);
+
   /// All row ids in key order (an ordered full scan).
   std::vector<uint32_t> FullScan() const;
 

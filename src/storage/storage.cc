@@ -85,4 +85,25 @@ void Storage::InvalidateIndexes(int table_id) {
   }
 }
 
+void Storage::IndexAppendedRows(int table_id, size_t first_new) {
+  const TableDef* def = catalog_->GetTable(table_id);
+  if (def == nullptr) return;
+  if (def->partition.enabled()) {
+    InvalidateIndexes(table_id);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const Table* table = GetTableLocked(table_id);
+  for (int idx_id : def->index_ids) {
+    if (idx_id >= static_cast<int>(indexes_.size()) || !indexes_[idx_id]) {
+      continue;  // not built: the next use builds it from the whole table
+    }
+    SortedIndex* index = indexes_[idx_id].get();
+    const size_t col = static_cast<size_t>(index->def().column);
+    for (size_t rid = first_new; rid < table->num_rows(); ++rid) {
+      index->Insert(table->Get(rid, col), static_cast<uint32_t>(rid));
+    }
+  }
+}
+
 }  // namespace qopt

@@ -14,13 +14,15 @@
 namespace qopt {
 
 /// Physical store for all tables and indexes in one database instance.
-/// Indexes are built lazily on first access and invalidated when the base
-/// table grows.
+/// Indexes are built lazily on first access. After an INSERT the built
+/// indexes of an unpartitioned table take the new rows in
+/// (IndexAppendedRows); on a partitioned table, or after a bulk load, they
+/// are dropped and rebuilt on next use.
 ///
 /// Thread-safety: the lazy table/index containers are guarded by an
 /// internal mutex, so concurrent queries may open scans and trigger index
 /// builds safely. Table *contents* are not synchronized — data writes
-/// (Append / AppendUnchecked) and index invalidation must not run
+/// (Append / AppendUnchecked) and index maintenance must not run
 /// concurrently with readers; the serving layer admits DML exclusively to
 /// guarantee this. On the concurrent read path the engine registers table
 /// and index definitions eagerly at DDL time (EnsureTable / RegisterIndex),
@@ -50,6 +52,14 @@ class Storage {
   /// Drops cached index structures on `table_id` (after data load). Must
   /// not run concurrently with queries (DML is admitted exclusively).
   void InvalidateIndexes(int table_id);
+
+  /// Brings the built indexes on `table_id` up to date after rows were
+  /// appended from row `first_new` on (INSERT). On an unpartitioned table
+  /// the new rows have the largest rids, so each built index inserts them;
+  /// on a partitioned one a row lands inside the table and shifts the rids
+  /// after it, so the indexes are dropped. Same concurrency contract as
+  /// InvalidateIndexes.
+  void IndexAppendedRows(int table_id, size_t first_new);
 
  private:
   Table* GetTableLocked(int table_id);

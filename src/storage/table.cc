@@ -4,6 +4,207 @@
 
 namespace qopt {
 
+namespace {
+
+/// `c <op> 0` for a three-way comparison result `c`.
+bool KeepByOp(CmpOp op, int c) {
+  switch (op) {
+    case CmpOp::kEq: return c == 0;
+    case CmpOp::kNe: return c != 0;
+    case CmpOp::kLt: return c < 0;
+    case CmpOp::kLe: return c <= 0;
+    case CmpOp::kGt: return c > 0;
+    case CmpOp::kGe: return c >= 0;
+  }
+  return false;
+}
+
+/// Three-way comparison of a non-NULL cell with `p`'s constant, coerced as
+/// `p.kind` says. A cell of another type than the kind expects (a generic
+/// column's coerced or unchecked cell) compares through Value::Compare.
+int CompareCell(const Value& v, const ColumnPredicate& p) {
+  if (p.kind == ColumnPredicate::Kind::kIntInt &&
+      v.type() == TypeId::kInt64) {
+    const int64_t a = v.AsInt();
+    return a < p.iconst ? -1 : (a > p.iconst ? 1 : 0);
+  }
+  if (p.kind != ColumnPredicate::Kind::kGeneric && IsNumeric(v.type())) {
+    const double a = v.AsNumeric();
+    return a < p.dconst ? -1 : (a > p.dconst ? 1 : 0);
+  }
+  return v.Compare(p.constant);
+}
+
+/// Keeps rid r of rids[0, n) iff `keep(data[r])` and, when `nulls` is set,
+/// nulls[r] == 0. Branch-free: every rid is written, the count advances
+/// only for kept ones.
+template <typename T, typename Keep>
+size_t SelectLoop(const T* data, const uint8_t* nulls, Keep keep,
+                  uint32_t* rids, size_t n) {
+  size_t m = 0;
+  if (nulls == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = rids[i];
+      rids[m] = r;
+      m += keep(data[r]) ? 1 : 0;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = rids[i];
+      rids[m] = r;
+      m += (nulls[r] == 0) & keep(data[r]) ? 1 : 0;
+    }
+  }
+  return m;
+}
+
+/// One loop per operator over a typed array compared with `k`. The
+/// three-way result is c = a < k ? -1 : (a > k ? 1 : 0), so `c <op> 0` is
+/// written with `<` and `>` only: an unordered (NaN) pair has c == 0.
+template <typename T, typename K>
+size_t SelectByOp(CmpOp op, const T* data, const uint8_t* nulls, K k,
+                  uint32_t* rids, size_t n) {
+  switch (op) {
+    case CmpOp::kEq:
+      return SelectLoop(
+          data, nulls, [k](T a) { return !(a < k) && !(a > k); }, rids, n);
+    case CmpOp::kNe:
+      return SelectLoop(
+          data, nulls, [k](T a) { return a < k || a > k; }, rids, n);
+    case CmpOp::kLt:
+      return SelectLoop(data, nulls, [k](T a) { return a < k; }, rids, n);
+    case CmpOp::kLe:
+      return SelectLoop(data, nulls, [k](T a) { return !(a > k); }, rids, n);
+    case CmpOp::kGt:
+      return SelectLoop(data, nulls, [k](T a) { return a > k; }, rids, n);
+    case CmpOp::kGe:
+      return SelectLoop(data, nulls, [k](T a) { return !(a < k); }, rids, n);
+  }
+  return 0;
+}
+
+}  // namespace
+
+ColumnPredicate::ColumnPredicate(size_t column, TypeId declared, CmpOp op,
+                                 Value constant)
+    : column(column), op(op), constant(std::move(constant)) {
+  const Value& k = this->constant;
+  QOPT_DCHECK(!k.is_null());
+  if (declared == TypeId::kInt64 && k.type() == TypeId::kInt64) {
+    kind = Kind::kIntInt;
+    iconst = k.AsInt();
+    dconst = static_cast<double>(iconst);
+  } else if (IsNumeric(declared) && IsNumeric(k.type())) {
+    kind = Kind::kNumeric;
+    dconst = k.AsNumeric();
+  }
+}
+
+// ---- Column ----
+
+size_t Table::Column::size() const {
+  switch (kind) {
+    case Kind::kInt: return ints.size();
+    case Kind::kDouble: return doubles.size();
+    case Kind::kGeneric: return values.size();
+  }
+  return 0;
+}
+
+Value Table::Column::Get(size_t i) const {
+  switch (kind) {
+    case Kind::kInt: return IsNull(i) ? Value() : Value::Int(ints[i]);
+    case Kind::kDouble: return IsNull(i) ? Value() : Value::Double(doubles[i]);
+    case Kind::kGeneric: return values[i];
+  }
+  return Value();
+}
+
+void Table::Column::Reserve(size_t n) {
+  switch (kind) {
+    case Kind::kInt: ints.reserve(n); break;
+    case Kind::kDouble: doubles.reserve(n); break;
+    case Kind::kGeneric: values.reserve(n); break;
+  }
+  if (!nulls.empty()) nulls.reserve(n);
+}
+
+void Table::Column::ToGeneric() {
+  std::vector<Value> out;
+  out.reserve(std::max(ints.capacity(), doubles.capacity()));
+  for (size_t i = 0; i < size(); ++i) out.push_back(Get(i));
+  values = std::move(out);
+  ints = std::vector<int64_t>();  // frees the typed arrays
+  doubles = std::vector<double>();
+  nulls = std::vector<uint8_t>();
+  kind = Kind::kGeneric;
+}
+
+void Table::Column::Insert(size_t i, Value&& v) {
+  const bool null = v.is_null();
+  if (kind != Kind::kGeneric && !null &&
+      v.type() != (kind == Kind::kInt ? TypeId::kInt64 : TypeId::kDouble)) {
+    ToGeneric();
+  }
+  if (kind == Kind::kGeneric) {
+    values.insert(values.begin() + static_cast<ptrdiff_t>(i), std::move(v));
+    return;
+  }
+  if (null || !nulls.empty()) {
+    nulls.resize(size(), 0);  // the first NULL creates the flags
+    nulls.insert(nulls.begin() + static_cast<ptrdiff_t>(i), null ? 1 : 0);
+  }
+  if (kind == Kind::kInt) {
+    ints.insert(ints.begin() + static_cast<ptrdiff_t>(i),
+                null ? 0 : v.AsInt());
+  } else {
+    doubles.insert(doubles.begin() + static_cast<ptrdiff_t>(i),
+                   null ? 0.0 : v.AsDouble());
+  }
+}
+
+void Table::Column::AppendRange(Column& src, size_t begin, size_t end) {
+  if (kind != src.kind || kind == Kind::kGeneric) {
+    for (size_t i = begin; i < end; ++i) {
+      Push(src.kind == Kind::kGeneric ? std::move(src.values[i]) : src.Get(i));
+    }
+    return;
+  }
+  if (!src.nulls.empty() || !nulls.empty()) {
+    nulls.resize(size(), 0);
+    if (src.nulls.empty()) {
+      nulls.insert(nulls.end(), end - begin, 0);
+    } else {
+      nulls.insert(nulls.end(),
+                   src.nulls.begin() + static_cast<ptrdiff_t>(begin),
+                   src.nulls.begin() + static_cast<ptrdiff_t>(end));
+    }
+  }
+  if (kind == Kind::kInt) {
+    ints.insert(ints.end(), src.ints.begin() + static_cast<ptrdiff_t>(begin),
+                src.ints.begin() + static_cast<ptrdiff_t>(end));
+  } else {
+    doubles.insert(doubles.end(),
+                   src.doubles.begin() + static_cast<ptrdiff_t>(begin),
+                   src.doubles.begin() + static_cast<ptrdiff_t>(end));
+  }
+}
+
+// ---- Table ----
+
+Table::Table(const TableDef* def) : def_(def), columns_(def->columns.size()) {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    switch (def_->columns[c].type) {
+      case TypeId::kInt64: columns_[c].kind = Column::Kind::kInt; break;
+      case TypeId::kDouble: columns_[c].kind = Column::Kind::kDouble; break;
+      default: break;
+    }
+  }
+  if (def_->partition.enabled()) {
+    part_ends_.assign(static_cast<size_t>(def_->partition.count()), 0);
+  }
+}
+
 Status Table::Append(Row row) {
   if (row.size() != def_->columns.size()) {
     return Status::InvalidArgument("row arity mismatch for table '" +
@@ -27,50 +228,139 @@ Status Table::Append(Row row) {
     }
   }
   total_bytes_ += RowBytes(row);
-  if (part_ends_.empty()) {
-    rows_.push_back(std::move(row));
-    return Status::OK();
+  size_t at = num_rows_;
+  if (!part_ends_.empty()) {
+    const PartitionSpec& spec = def_->partition;
+    int p = spec.PartitionOf(row[static_cast<size_t>(spec.column)]);
+    at = part_ends_[static_cast<size_t>(p)];
+    for (size_t i = static_cast<size_t>(p); i < part_ends_.size(); ++i) {
+      ++part_ends_[i];
+    }
   }
-  const PartitionSpec& spec = def_->partition;
-  int p = spec.PartitionOf(row[static_cast<size_t>(spec.column)]);
-  rows_.insert(rows_.begin() + static_cast<ptrdiff_t>(part_ends_[p]),
-               std::move(row));
-  for (size_t i = static_cast<size_t>(p); i < part_ends_.size(); ++i) {
-    ++part_ends_[i];
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].Insert(at, std::move(row[c]));
   }
+  ++num_rows_;
   return Status::OK();
 }
 
 void Table::AppendUnchecked(std::vector<Row> new_rows) {
   for (const Row& r : new_rows) total_bytes_ += RowBytes(r);
+  const size_t total = num_rows_ + new_rows.size();
+  // Moves row `r`'s cells onto the ends of `cols`, then frees the row.
+  auto push_row = [](std::vector<Column>* cols, Row* r) {
+    QOPT_DCHECK(r->size() == cols->size());
+    for (size_t c = 0; c < cols->size(); ++c) {
+      (*cols)[c].Push(std::move((*r)[c]));
+    }
+    Row().swap(*r);
+  };
   if (part_ends_.empty()) {
-    for (Row& r : new_rows) rows_.push_back(std::move(r));
+    for (Column& col : columns_) col.Reserve(total);
+    for (Row& r : new_rows) push_row(&columns_, &r);
+    num_rows_ = total;
     return;
   }
   // Classify the new rows, then rebuild the partition-major clustering by
   // concatenating (old segment p, new rows of p) for each partition.
   const PartitionSpec& spec = def_->partition;
-  std::vector<std::vector<Row>> incoming(part_ends_.size());
+  std::vector<std::vector<Row*>> incoming(part_ends_.size());
   for (Row& r : new_rows) {
     int p = spec.PartitionOf(r[static_cast<size_t>(spec.column)]);
-    incoming[static_cast<size_t>(p)].push_back(std::move(r));
+    incoming[static_cast<size_t>(p)].push_back(&r);
   }
-  std::vector<Row> rebuilt;
-  rebuilt.reserve(rows_.size() + new_rows.size());
+  std::vector<Column> rebuilt(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    rebuilt[c].kind = columns_[c].kind;
+    rebuilt[c].Reserve(total);
+  }
   size_t begin = 0;
+  size_t end = 0;
   for (size_t p = 0; p < part_ends_.size(); ++p) {
-    for (size_t i = begin; i < part_ends_[p]; ++i) {
-      rebuilt.push_back(std::move(rows_[i]));
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      rebuilt[c].AppendRange(columns_[c], begin, part_ends_[p]);
     }
+    end += part_ends_[p] - begin;
     begin = part_ends_[p];
-    for (Row& r : incoming[p]) rebuilt.push_back(std::move(r));
-    part_ends_[p] = rebuilt.size();
+    for (Row* r : incoming[p]) push_row(&rebuilt, r);
+    end += incoming[p].size();
+    part_ends_[p] = end;
   }
-  rows_ = std::move(rebuilt);
+  columns_ = std::move(rebuilt);
+  num_rows_ = total;
+}
+
+Value Table::Get(size_t rid, size_t col) const {
+  return columns_[col].Get(rid);
+}
+
+Row Table::RowAt(size_t rid) const {
+  Row row;
+  row.reserve(columns_.size());
+  for (const Column& col : columns_) row.push_back(col.Get(rid));
+  return row;
+}
+
+size_t Table::Select(const ColumnPredicate& p, uint32_t* rids,
+                     size_t n) const {
+  const Column& col = columns_[p.column];
+  // Per-cell path: generic columns, and a constant of a type the typed
+  // arrays do not compare with.
+  auto per_cell = [&](auto&& cell) {
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = rids[i];
+      const Value& v = cell(r);
+      if (!v.is_null() && KeepByOp(p.op, CompareCell(v, p))) rids[m++] = r;
+    }
+    return m;
+  };
+  if (col.kind == Column::Kind::kGeneric) {
+    return per_cell([&](uint32_t r) -> const Value& { return col.values[r]; });
+  }
+  if (p.kind == ColumnPredicate::Kind::kGeneric) {
+    return per_cell([&](uint32_t r) { return col.Get(r); });
+  }
+  const uint8_t* nulls = col.nulls.empty() ? nullptr : col.nulls.data();
+  if (col.kind == Column::Kind::kDouble) {
+    return SelectByOp(p.op, col.doubles.data(), nulls, p.dconst, rids, n);
+  }
+  if (p.kind == ColumnPredicate::Kind::kIntInt) {
+    return SelectByOp(p.op, col.ints.data(), nulls, p.iconst, rids, n);
+  }
+  return SelectByOp(p.op, col.ints.data(), nulls, p.dconst, rids, n);
+}
+
+void Table::Gather(size_t c, const uint32_t* rids, size_t n,
+                   std::vector<Value>* out) const {
+  const Column& col = columns_[c];
+  switch (col.kind) {
+    case Column::Kind::kInt:
+      if (col.nulls.empty()) {
+        for (size_t i = 0; i < n; ++i) {
+          out->push_back(Value::Int(col.ints[rids[i]]));
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) out->push_back(col.Get(rids[i]));
+      }
+      return;
+    case Column::Kind::kDouble:
+      if (col.nulls.empty()) {
+        for (size_t i = 0; i < n; ++i) {
+          out->push_back(Value::Double(col.doubles[rids[i]]));
+        }
+      } else {
+        for (size_t i = 0; i < n; ++i) out->push_back(col.Get(rids[i]));
+      }
+      return;
+    case Column::Kind::kGeneric:
+      for (size_t i = 0; i < n; ++i) out->push_back(col.values[rids[i]]);
+      return;
+  }
 }
 
 std::pair<size_t, size_t> Table::PartitionRange(int p) const {
-  if (part_ends_.empty()) return {0, rows_.size()};
+  if (part_ends_.empty()) return {0, num_rows_};
   size_t begin = p == 0 ? 0 : part_ends_[static_cast<size_t>(p) - 1];
   return {begin, part_ends_[static_cast<size_t>(p)]};
 }
@@ -96,12 +386,12 @@ double Table::RowBytes(const Row& row) const {
 }
 
 double Table::avg_row_bytes() const {
-  if (rows_.empty()) return 8.0 * static_cast<double>(def_->columns.size());
-  return total_bytes_ / static_cast<double>(rows_.size());
+  if (num_rows_ == 0) return 8.0 * static_cast<double>(def_->columns.size());
+  return total_bytes_ / static_cast<double>(num_rows_);
 }
 
 double Table::num_pages() const {
-  if (rows_.empty()) return 0.0;
+  if (num_rows_ == 0) return 0.0;
   return std::max(1.0, total_bytes_ / kPageSizeBytes);
 }
 

@@ -1,9 +1,16 @@
-// In-memory heap table with page accounting.
+// In-memory column-major table with page accounting.
 //
 // Execution is in memory, but the table tracks a modeled page count (used by
 // the I/O cost formulas of paper Section 5.2) derived from row widths and a
 // configurable page size, so that the optimizer's cost inputs behave like a
 // disk-resident system's.
+//
+// Cells are stored one column per attribute: INT and DOUBLE columns as
+// int64_t / double arrays (8 bytes a cell, plus a null-flag byte per row
+// once the column has held a NULL), every other column as Values. Scans
+// read them through Select (narrow a rid list by one `column <op> constant`
+// conjunct) and Gather (append a column's cells at a rid list to a batch
+// column), the storage-owned kernels of the sequential and index scans.
 #ifndef QOPT_STORAGE_TABLE_H_
 #define QOPT_STORAGE_TABLE_H_
 
@@ -20,6 +27,30 @@ namespace qopt {
 /// Modeled page size in bytes (System-R style 4K pages).
 inline constexpr double kPageSizeBytes = 4096.0;
 
+/// Comparison operator of a ColumnPredicate (column on the left).
+enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+
+/// A `column <op> constant` conjunct that Table::Select evaluates straight
+/// from storage. A NULL cell rejects; otherwise the three-way comparison
+/// `c` (-1, 0, 1) of cell and constant decides, as `c <op> 0`. Its kind
+/// follows the column's declared type and the constant's type, as
+/// Value::Compare would coerce them: INT against INT compares as int64,
+/// any other numeric pair as double (so NaN compares equal to everything
+/// and -0.0 equal to 0.0), anything else through Value::Compare.
+struct ColumnPredicate {
+  enum class Kind : uint8_t { kIntInt, kNumeric, kGeneric };
+
+  /// `constant` must not be NULL.
+  ColumnPredicate(size_t column, TypeId declared, CmpOp op, Value constant);
+
+  size_t column;  ///< Storage position of the column.
+  CmpOp op;
+  Value constant;
+  Kind kind = Kind::kGeneric;
+  int64_t iconst = 0;  ///< kIntInt
+  double dconst = 0;   ///< kIntInt and kNumeric
+};
+
 /// Row storage for one base table.
 ///
 /// When the table's TableDef carries a PartitionSpec, rows are kept
@@ -30,11 +61,7 @@ inline constexpr double kPageSizeBytes = 4096.0;
 /// are genuinely never touched.
 class Table {
  public:
-  explicit Table(const TableDef* def) : def_(def) {
-    if (def_->partition.enabled()) {
-      part_ends_.assign(static_cast<size_t>(def_->partition.count()), 0);
-    }
-  }
+  explicit Table(const TableDef* def);
 
   const TableDef& def() const { return *def_; }
 
@@ -43,14 +70,27 @@ class Table {
   /// is inserted into its partition's segment (O(n) tail shift).
   Status Append(Row row);
 
-  /// Bulk-append without per-row validation (workload generators). On a
-  /// partitioned table this rebuilds the partition-major clustering in one
-  /// O(old + new) pass.
+  /// Bulk-append without per-row validation (workload generators). Each
+  /// row is transposed into the columns and freed as soon as it is
+  /// consumed. On a partitioned table this rebuilds the partition-major
+  /// clustering in one O(old + new) pass.
   void AppendUnchecked(std::vector<Row> rows);
 
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Row>& rows() const { return rows_; }
-  const Row& row(size_t i) const { return rows_[i]; }
+  size_t num_rows() const { return num_rows_; }
+
+  /// Cell `col` of row `rid`: exactly the Value that was stored.
+  Value Get(size_t rid, size_t col) const;
+
+  /// Row `rid` built cell by cell (tests and diagnostics; scans gather).
+  Row RowAt(size_t rid) const;
+
+  /// Keeps, in place and in order, the rids among rids[0, n) whose cell
+  /// passes `p`; returns how many are kept.
+  size_t Select(const ColumnPredicate& p, uint32_t* rids, size_t n) const;
+
+  /// Appends the cells of column `col` at rids[0, n) to `out`.
+  void Gather(size_t col, const uint32_t* rids, size_t n,
+              std::vector<Value>* out) const;
 
   /// Average bytes per row under the storage model (8 bytes per numeric,
   /// string payload + 4, 1 for bool/null).
@@ -68,8 +108,35 @@ class Table {
   std::pair<size_t, size_t> PartitionRange(int p) const;
 
  private:
+  /// One attribute's cells in row order. A typed column (kInt / kDouble)
+  /// keeps its cells in `ints` / `doubles`; it turns kGeneric, once, when
+  /// it first receives a non-NULL cell of another type, and from then on
+  /// keeps every cell in `values`.
+  struct Column {
+    enum class Kind : uint8_t { kInt, kDouble, kGeneric };
+    Kind kind = Kind::kGeneric;
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<Value> values;
+    /// Typed columns: 1 per NULL row; empty until the first NULL arrives.
+    std::vector<uint8_t> nulls;
+
+    size_t size() const;
+    bool IsNull(size_t i) const { return !nulls.empty() && nulls[i] != 0; }
+    Value Get(size_t i) const;
+    void Reserve(size_t n);
+    /// Inserts `v` as cell `i`, turning a typed column generic first when
+    /// `v` is a non-NULL cell of another type.
+    void Insert(size_t i, Value&& v);
+    void Push(Value&& v) { Insert(size(), std::move(v)); }
+    /// Appends cells [begin, end) of `src`, moving generic cells out of it.
+    void AppendRange(Column& src, size_t begin, size_t end);
+    void ToGeneric();
+  };
+
   const TableDef* def_;
-  std::vector<Row> rows_;
+  std::vector<Column> columns_;
+  size_t num_rows_ = 0;
   double total_bytes_ = 0;
   /// Exclusive end row index of each partition (empty when unpartitioned).
   std::vector<size_t> part_ends_;

@@ -1,5 +1,6 @@
 #include "workload/datagen.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace qopt::workload {
@@ -20,26 +21,30 @@ int64_t ZipfGen::Next() {
   return static_cast<int64_t>(it - cdf_.begin());
 }
 
-std::vector<Row> GenerateRows(const std::vector<ColumnSpec>& specs,
-                              int64_t rows, uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<ZipfGen> zipfs;
+RowGenerator::RowGenerator(const std::vector<ColumnSpec>& specs,
+                           uint64_t seed)
+    : specs_(&specs), rng_(seed) {
   for (size_t c = 0; c < specs.size(); ++c) {
     if (specs[c].kind == ColumnSpec::Kind::kZipf) {
-      zipfs.emplace_back(specs[c].ndv, specs[c].theta, seed * 31 + c);
+      zipfs_.emplace_back(specs[c].ndv, specs[c].theta, seed * 31 + c);
     } else {
-      zipfs.emplace_back(1, 0.0, 0);
+      zipfs_.emplace_back(1, 0.0, 0);
     }
   }
+}
+
+std::vector<Row> RowGenerator::Next(int64_t rows) {
+  const std::vector<ColumnSpec>& specs = *specs_;
   std::vector<Row> out;
   out.reserve(rows);
   std::uniform_real_distribution<double> unit(0, 1);
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int64_t end = next_row_ + rows; next_row_ < end; ++next_row_) {
+    const int64_t r = next_row_;
     Row row;
     row.reserve(specs.size());
     for (size_t c = 0; c < specs.size(); ++c) {
       const ColumnSpec& s = specs[c];
-      if (s.null_fraction > 0 && unit(rng) < s.null_fraction) {
+      if (s.null_fraction > 0 && unit(rng_) < s.null_fraction) {
         row.push_back(Value::Null());
         continue;
       }
@@ -49,19 +54,19 @@ std::vector<Row> GenerateRows(const std::vector<ColumnSpec>& specs,
           break;
         case ColumnSpec::Kind::kUniform:
           row.push_back(Value::Int(std::uniform_int_distribution<int64_t>(
-              0, s.ndv - 1)(rng)));
+              0, s.ndv - 1)(rng_)));
           break;
         case ColumnSpec::Kind::kZipf:
-          row.push_back(Value::Int(zipfs[c].Next()));
+          row.push_back(Value::Int(zipfs_[c].Next()));
           break;
         case ColumnSpec::Kind::kUniformReal:
           row.push_back(Value::Double(
-              std::uniform_real_distribution<double>(s.lo, s.hi)(rng)));
+              std::uniform_real_distribution<double>(s.lo, s.hi)(rng_)));
           break;
         case ColumnSpec::Kind::kString:
           row.push_back(Value::String(
               "v" + std::to_string(std::uniform_int_distribution<int64_t>(
-                        0, s.ndv - 1)(rng))));
+                        0, s.ndv - 1)(rng_))));
           break;
         case ColumnSpec::Kind::kCorrelated: {
           const Value& src = row.at(static_cast<size_t>(s.source));
@@ -74,6 +79,11 @@ std::vector<Row> GenerateRows(const std::vector<ColumnSpec>& specs,
     out.push_back(std::move(row));
   }
   return out;
+}
+
+std::vector<Row> GenerateRows(const std::vector<ColumnSpec>& specs,
+                              int64_t rows, uint64_t seed) {
+  return RowGenerator(specs, seed).Next(rows);
 }
 
 Status CreateAndLoadTable(Database* db, const std::string& name,
@@ -98,7 +108,12 @@ Status CreateAndLoadTable(Database* db, const std::string& name,
           ? db->CreateTable(name, cols, pk, std::move(partition))
           : db->CreateTable(name, cols, pk));
   (void)table_id;
-  QOPT_RETURN_IF_ERROR(db->BulkLoad(name, GenerateRows(specs, rows, seed)));
+  constexpr int64_t kLoadChunkRows = 32768;
+  RowGenerator gen(specs, seed);
+  for (int64_t left = rows; left > 0; left -= kLoadChunkRows) {
+    QOPT_RETURN_IF_ERROR(
+        db->BulkLoad(name, gen.Next(std::min(left, kLoadChunkRows))));
+  }
   return db->Analyze(name, stats_options);
 }
 

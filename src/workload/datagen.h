@@ -50,15 +50,33 @@ struct ColumnSpec {
   int source = -1;
 };
 
+/// Generates rows according to `specs` (which must outlive it), a chunk at
+/// a time: the rows of successive Next calls are those one GenerateRows
+/// call would return (deterministic under seed).
+class RowGenerator {
+ public:
+  RowGenerator(const std::vector<ColumnSpec>& specs, uint64_t seed);
+
+  /// The next `rows` rows.
+  std::vector<Row> Next(int64_t rows);
+
+ private:
+  const std::vector<ColumnSpec>* specs_;
+  std::mt19937_64 rng_;
+  std::vector<ZipfGen> zipfs_;
+  int64_t next_row_ = 0;  ///< Sequence number of the next row.
+};
+
 /// Generates `rows` rows according to `specs` (deterministic under seed).
 std::vector<Row> GenerateRows(const std::vector<ColumnSpec>& specs,
                               int64_t rows, uint64_t seed);
 
 /// Creates a table from the specs (sequential columns become INT, strings
 /// STRING, reals DOUBLE; `primary_key` names a column or empty), loads
-/// generated rows and analyzes it. A non-trivial `partition` spec creates
-/// a range/hash-partitioned table (rows are clustered partition-major on
-/// load; see storage/table.h).
+/// generated rows a chunk at a time, so they never all exist at once
+/// beside the table's columns, and analyzes it. A non-trivial `partition`
+/// spec creates a range/hash-partitioned table (rows are clustered
+/// partition-major on load; see storage/table.h).
 Status CreateAndLoadTable(Database* db, const std::string& name,
                           const std::vector<ColumnSpec>& specs, int64_t rows,
                           uint64_t seed, const std::string& primary_key = "",

@@ -31,6 +31,55 @@ TEST(DatabaseTest, InsertValidatesTypes) {
   EXPECT_FALSE(db.Execute("INSERT INTO nosuch VALUES (1)").ok());
 }
 
+TEST(DatabaseTest, InsertMaintainsBuiltIndexes) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT PRIMARY KEY, k INT, "
+                         "v DOUBLE, s STRING)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX ik ON t(k)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX iv ON t(v)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX istr ON t(s)").ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 600; ++i) {
+    rows.push_back({Value::Int(i), Value::Int(i % 7),
+                    i % 5 == 0 ? Value::Null() : Value::Double(i * 0.25),
+                    Value::String("s" + std::to_string(i % 11))});
+  }
+  ASSERT_TRUE(db.BulkLoad("t", std::move(rows)).ok());
+  const TableDef* def = db.catalog().GetTable("t");
+  ASSERT_EQ(def->index_ids.size(), 3u);
+  std::vector<const SortedIndex*> built;
+  for (int id : def->index_ids) {
+    built.push_back(db.storage().GetSortedIndex(id));
+    ASSERT_NE(built.back(), nullptr);
+  }
+  // Duplicate keys, NULL keys, and an INT cell equal to a DOUBLE key.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1000, 3, NULL, 's3'), "
+                         "(1001, 3, 2.0, NULL), (1002, NULL, 0.25, 'zz')")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1003, 99, 2, 's1')").ok());
+  const Table& table = *db.storage().GetTable(def->id);
+  for (size_t i = 0; i < def->index_ids.size(); ++i) {
+    const int id = def->index_ids[i];
+    const SortedIndex* index = db.storage().GetSortedIndex(id);
+    EXPECT_EQ(index, built[i]) << "index " << id << " was rebuilt";
+    const SortedIndex fresh(db.catalog().GetIndex(id), &table);
+    EXPECT_EQ(index->FullScan(), fresh.FullScan()) << "index " << id;
+    EXPECT_EQ(index->tree_height(), fresh.tree_height());
+    EXPECT_EQ(index->leaf_pages(), fresh.leaf_pages());
+  }
+  std::vector<uint32_t> hits = built[0]->Lookup(Value::Int(3));
+  ASSERT_GE(hits.size(), 2u);
+  EXPECT_EQ(hits[hits.size() - 2], 600u);
+  EXPECT_EQ(hits.back(), 601u);
+  EXPECT_EQ(built[1]->Lookup(Value::Double(2.0)),
+            (std::vector<uint32_t>{8, 601, 603}));
+  auto r = db.Query("SELECT id FROM t WHERE k = 99");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), 1003);
+}
+
 TEST(DatabaseTest, SelectViaExecuteRejected) {
   Database db;
   EXPECT_FALSE(db.Execute("SELECT 1 FROM t").ok());

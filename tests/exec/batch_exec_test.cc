@@ -5,6 +5,7 @@
 // the scan's constant-comparison prefilter against the row interpreter.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -495,9 +496,12 @@ TEST_F(BatchOperatorTest, LimitStopsInsideOneProbeKeysMatches) {
 // ---------------------------------------------------------------------------
 // Scan-predicate reference: the rows a scan keeps must be exactly the base
 // rows the row interpreter EvalPredicate accepts. The scan checks
-// `column <op> constant` conjuncts with its own comparison code (FastPass)
-// before any row is copied, so this is the independent check that it
-// agrees with the interpreter on NULLs, int/double mixes and strings.
+// `column <op> constant` conjuncts with the table's own typed kernels
+// (Table::Select) before any row is copied, so this is the independent
+// check that they agree with the interpreter on NULLs, NaN, -0.0,
+// int/double mixes and strings, over typed columns with and without NULLs
+// and over a DOUBLE column turned generic by an INT cell, at batch
+// capacities that split the table's page runs differently.
 
 class ScanPredicateReferenceTest : public ::testing::Test {
  protected:
@@ -505,25 +509,37 @@ class ScanPredicateReferenceTest : public ::testing::Test {
     ASSERT_TRUE(catalog_
                     .CreateTable("mix", {{"i", TypeId::kInt64},
                                          {"d", TypeId::kDouble},
-                                         {"s", TypeId::kString}})
+                                         {"s", TypeId::kString},
+                                         {"g", TypeId::kDouble},
+                                         {"n", TypeId::kInt64}})
                     .ok());
     storage_ = std::make_unique<Storage>(&catalog_);
     // 257 rows: not a multiple of any batch capacity under test. Doubles
-    // include integral values, so int/double equality is exercised.
+    // include integral values, so int/double equality is exercised, and
+    // NaN and -0.0. Column g takes one INT cell, which stores it as
+    // Values; n has no NULL.
     std::mt19937 rng(1234);
     const char* strings[] = {"", "a", "ab", "b", "B"};
+    auto double_cell = [&rng]() {
+      switch (rng() % 13) {
+        case 0: return Value::Null();
+        case 1: return Value::Double(std::numeric_limits<double>::quiet_NaN());
+        case 2: return Value::Double(-0.0);
+        default:
+          return Value::Double((static_cast<int>(rng() % 11) - 5) * 0.5);
+      }
+    };
     std::vector<Row> rows;
     for (int k = 0; k < 257; ++k) {
       Row r;
       r.push_back(rng() % 7 == 0
                       ? Value::Null()
                       : Value::Int(static_cast<int64_t>(rng() % 11) - 5));
-      r.push_back(rng() % 7 == 0
-                      ? Value::Null()
-                      : Value::Double((static_cast<int>(rng() % 11) - 5) *
-                                      0.5));
+      r.push_back(double_cell());
       r.push_back(rng() % 7 == 0 ? Value::Null()
                                  : Value::String(strings[rng() % 5]));
+      r.push_back(k == 100 ? Value::Int(2) : double_cell());
+      r.push_back(Value::Int(static_cast<int64_t>(rng() % 11) - 5));
       rows.push_back(std::move(r));
     }
     storage_->GetTable(0)->AppendUnchecked(rows);
@@ -537,18 +553,19 @@ class ScanPredicateReferenceTest : public ::testing::Test {
   }
 
   /// A constant for a comparison against column `c`: same-type or
-  /// cross-numeric, occasionally NULL.
+  /// cross-numeric (-0.0 among the doubles), occasionally NULL.
   Value Constant(size_t c, std::mt19937* rng) const {
     if ((*rng)() % 10 == 0) return Value::Null();
     const int k = static_cast<int>((*rng)() % 11) - 5;
-    switch (c) {
-      case 0:
+    if (c == 2) {
+      const char* strings[] = {"", "a", "ab", "b", "B", "aa"};
+      return Value::String(strings[(*rng)() % 6]);
+    }
+    switch ((*rng)() % 5) {
+      case 0: return Value::Double(-0.0);
       case 1:
-        return (*rng)() % 2 == 0 ? Value::Int(k) : Value::Double(k * 0.5);
-      default: {
-        const char* strings[] = {"", "a", "ab", "b", "B", "aa"};
-        return Value::String(strings[(*rng)() % 6]);
-      }
+      case 2: return Value::Int(k);
+      default: return Value::Double(k * 0.5);
     }
   }
 
@@ -571,8 +588,9 @@ class ScanPredicateReferenceTest : public ::testing::Test {
                                 plan::MakeBinary(op, ColExpr(c),
                                                  plan::MakeLiteral(
                                                      Constant(c, rng))),
-                                plan::MakeIsNull(ColExpr((c + 1) % 3),
-                                                 (*rng)() % 2 == 0));
+                                plan::MakeIsNull(
+                                    ColExpr((c + 1) % cols_.size()),
+                                    (*rng)() % 2 == 0));
       case 2:  // constant on the left
         return plan::MakeBinary(op, plan::MakeLiteral(Constant(c, rng)),
                                 ColExpr(c));
@@ -600,7 +618,9 @@ class ScanPredicateReferenceTest : public ::testing::Test {
   const std::vector<plan::OutputCol> cols_ = {
       {{0, 0}, TypeId::kInt64, "mix.i"},
       {{0, 1}, TypeId::kDouble, "mix.d"},
-      {{0, 2}, TypeId::kString, "mix.s"}};
+      {{0, 2}, TypeId::kString, "mix.s"},
+      {{0, 3}, TypeId::kDouble, "mix.g"},
+      {{0, 4}, TypeId::kInt64, "mix.n"}};
   ColMap colmap_;
   Catalog catalog_;
   std::unique_ptr<Storage> storage_;
@@ -618,18 +638,23 @@ TEST_F(ScanPredicateReferenceTest,
     plan::BExpr pred = plan::MakeConjunction(std::move(conjuncts));
     std::vector<Row> want;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const Row& row = table.row(static_cast<uint32_t>(r));
+      const Row row = table.RowAt(static_cast<uint32_t>(r));
       if (EvalPredicate(pred, EvalContext{&colmap_, &row, &params})) {
         want.push_back(row);
       }
     }
-    for (ExecMode mode : {ExecMode::kRow, ExecMode::kBatch}) {
+    const std::pair<ExecMode, size_t> runs[] = {
+        {ExecMode::kRow, kDefaultBatchCapacity},
+        {ExecMode::kBatch, 1},
+        {ExecMode::kBatch, 7},
+        {ExecMode::kBatch, 1024}};
+    for (const auto& [mode, capacity] : runs) {
       for (bool compile : {true, false}) {
         SCOPED_TRACE(pred->ToString() + " mode=" +
-                     std::to_string(static_cast<int>(mode)) +
+                     std::to_string(static_cast<int>(mode)) + " capacity=" +
+                     std::to_string(capacity) +
                      " compile=" + std::to_string(compile));
-        std::vector<Row> got =
-            RunScan(pred, mode, kDefaultBatchCapacity, compile);
+        std::vector<Row> got = RunScan(pred, mode, capacity, compile);
         ASSERT_EQ(got.size(), want.size());
         for (size_t r = 0; r < got.size(); ++r) {
           EXPECT_TRUE(RowEq()(got[r], want[r]))

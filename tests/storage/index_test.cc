@@ -41,7 +41,7 @@ TEST_F(IndexTest, PointLookup) {
   std::vector<uint32_t> hits = index_->Lookup(Value::Int(3));
   EXPECT_EQ(hits.size(), 2u);
   for (uint32_t id : hits) {
-    EXPECT_EQ(table_->row(id)[1].AsInt(), 3);
+    EXPECT_EQ(table_->RowAt(id)[1].AsInt(), 3);
   }
   EXPECT_TRUE(index_->Lookup(Value::Int(99)).empty());
 }
@@ -52,8 +52,8 @@ TEST_F(IndexTest, RangeScanInclusive) {
                         IndexBound{Value::Int(5), true});
   ASSERT_EQ(hits.size(), 3u);
   // Key order: 3, 3, 5.
-  EXPECT_EQ(table_->row(hits[0])[1].AsInt(), 3);
-  EXPECT_EQ(table_->row(hits[2])[1].AsInt(), 5);
+  EXPECT_EQ(table_->RowAt(hits[0])[1].AsInt(), 3);
+  EXPECT_EQ(table_->RowAt(hits[2])[1].AsInt(), 5);
 }
 
 TEST_F(IndexTest, RangeScanExclusive) {
@@ -61,7 +61,7 @@ TEST_F(IndexTest, RangeScanExclusive) {
       index_->RangeScan(IndexBound{Value::Int(3), false},
                         IndexBound{Value::Int(8), false});
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(table_->row(hits[0])[1].AsInt(), 5);
+  EXPECT_EQ(table_->RowAt(hits[0])[1].AsInt(), 5);
 }
 
 TEST_F(IndexTest, OpenRanges) {
@@ -74,8 +74,8 @@ TEST_F(IndexTest, FullScanIsOrdered) {
   std::vector<uint32_t> all = index_->FullScan();
   ASSERT_EQ(all.size(), 5u);
   for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LE(table_->row(all[i - 1])[1].AsInt(),
-              table_->row(all[i])[1].AsInt());
+    EXPECT_LE(table_->RowAt(all[i - 1])[1].AsInt(),
+              table_->RowAt(all[i])[1].AsInt());
   }
 }
 

@@ -95,7 +95,7 @@ class PartitionedTableTest : public ::testing::Test {
       EXPECT_EQ(begin, expected_start) << "partition " << p;
       expected_start = end;
       for (size_t r = begin; r < end; ++r) {
-        EXPECT_EQ(spec.PartitionOf(table_->row(static_cast<uint32_t>(r))[0]),
+        EXPECT_EQ(spec.PartitionOf(table_->RowAt(static_cast<uint32_t>(r))[0]),
                   p)
             << "row " << r;
       }
@@ -129,9 +129,9 @@ TEST_F(PartitionedTableTest, AppendPreservesArrivalOrderWithinPartition) {
   }
   auto [b0, e0] = table_->PartitionRange(0);
   ASSERT_EQ(e0 - b0, 3u);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0))[0].AsInt(), 5);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0 + 1))[0].AsInt(), 3);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0 + 2))[0].AsInt(), 8);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0))[0].AsInt(), 5);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0 + 1))[0].AsInt(), 3);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0 + 2))[0].AsInt(), 8);
 }
 
 TEST_F(PartitionedTableTest, BulkAppendMergesStably) {
@@ -147,9 +147,9 @@ TEST_F(PartitionedTableTest, BulkAppendMergesStably) {
   // Old rows stay ahead of new rows within their partition.
   auto [b0, e0] = table_->PartitionRange(0);
   ASSERT_EQ(e0 - b0, 3u);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0))[0].AsInt(), 5);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0 + 1))[0].AsInt(), 7);
-  EXPECT_EQ(table_->row(static_cast<uint32_t>(b0 + 2))[0].AsInt(), 2);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0))[0].AsInt(), 5);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0 + 1))[0].AsInt(), 7);
+  EXPECT_EQ(table_->RowAt(static_cast<uint32_t>(b0 + 2))[0].AsInt(), 2);
 }
 
 TEST_F(PartitionedTableTest, StatsRecordPerPartitionRowsAndPages) {

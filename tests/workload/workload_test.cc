@@ -44,6 +44,27 @@ TEST(DataGenTest, DeterministicUnderSeed) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(DataGenTest, ChunkedGenerationMatchesOneShot) {
+  std::vector<ColumnSpec> spec = {
+      {.name = "seq", .kind = ColumnSpec::Kind::kSequential},
+      {.name = "z", .kind = ColumnSpec::Kind::kZipf, .ndv = 100},
+      {.name = "r", .kind = ColumnSpec::Kind::kUniformReal},
+      {.name = "n", .kind = ColumnSpec::Kind::kUniform, .ndv = 10,
+       .null_fraction = 0.3},
+  };
+  const std::vector<Row> whole = GenerateRows(spec, 1000, 5);
+  RowGenerator gen(spec, 5);
+  std::vector<Row> chunked;
+  for (int64_t n : {1, 300, 0, 699}) {
+    for (Row& r : gen.Next(n)) chunked.push_back(std::move(r));
+  }
+  ASSERT_EQ(chunked.size(), whole.size());
+  for (size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_TRUE(RowEq()(chunked[i], whole[i])) << i;
+    EXPECT_EQ(chunked[i][2].AsDouble(), whole[i][2].AsDouble()) << i;
+  }
+}
+
 TEST(DataGenTest, ColumnKindsProduceDeclaredShapes) {
   std::vector<ColumnSpec> spec = {
       {.name = "seq", .kind = ColumnSpec::Kind::kSequential},
