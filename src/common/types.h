@@ -49,6 +49,16 @@ inline bool TypesComparable(TypeId a, TypeId b) {
   return IsNumeric(a) && IsNumeric(b);
 }
 
+/// Sets `*out` to the type of a slot that takes values of `a` and of `b`
+/// (a CASE result, a UNION column): the non-NULL one of the two, DOUBLE
+/// for an INT/DOUBLE pair. False when the two are not TypesComparable.
+inline bool CommonType(TypeId a, TypeId b, TypeId* out) {
+  if (!TypesComparable(a, b)) return false;
+  const bool same = a == TypeId::kNull || b == TypeId::kNull || a == b;
+  *out = same ? (a == TypeId::kNull ? b : a) : TypeId::kDouble;
+  return true;
+}
+
 }  // namespace qopt
 
 #endif  // QOPT_COMMON_TYPES_H_

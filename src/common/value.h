@@ -81,6 +81,15 @@ class Value {
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
 
+/// Widens an INT `*v` to DOUBLE when `type`, the static type of the slot it
+/// fills (a CASE result, a UNION column), is DOUBLE: a DOUBLE-typed cell
+/// is always a DOUBLE or NULL.
+inline void WidenToType(TypeId type, Value* v) {
+  if (type == TypeId::kDouble && v->type() == TypeId::kInt64) {
+    *v = Value::Double(static_cast<double>(v->AsInt()));
+  }
+}
+
 /// A tuple of values; the unit of data flow between executors.
 using Row = std::vector<Value>;
 

@@ -25,6 +25,16 @@ bool SelectRows(RowBatch* b, ExecContext* ctx, Keep keep) {
   return true;
 }
 
+/// Widens the INT cells of `b`'s live rows in the columns a set operation
+/// `node` types DOUBLE (one arm may be INT there).
+void WidenToOutputTypes(const PhysicalPlan& node, RowBatch* b) {
+  for (size_t c = 0; c < node.output_cols.size(); ++c) {
+    if (node.output_cols[c].type != TypeId::kDouble) continue;
+    std::vector<Value>& cells = b->column(c);
+    for (uint32_t r : b->selection()) WidenToType(TypeId::kDouble, &cells[r]);
+  }
+}
+
 /// Sort with graceful degradation: fully in-memory while the input fits,
 /// external merge sort once the spill policy is armed and the buffer
 /// exceeds its budget. Run generation writes sorted SpillFiles; runs above
@@ -265,7 +275,10 @@ class UnionAllExec : public Executor {
 
   bool NextBatchImpl(RowBatch* out) override {
     for (; current_ < children_.size(); ++current_) {
-      if (children_[current_]->NextBatch(out)) return true;
+      if (children_[current_]->NextBatch(out)) {
+        WidenToOutputTypes(*plan_, out);
+        return true;
+      }
     }
     return false;
   }
@@ -302,12 +315,13 @@ class HashSetOpExec : public Executor {
   /// (not) in the right set and not emitted before.
   bool NextBatchImpl(RowBatch* out) override {
     const bool want_member = plan_->kind == PhysOpKind::kHashIntersect;
-    return left_->NextBatch(out) &&
-           SelectRows(out, ctx_, [&](Row& row) {
-             if ((right_rows_.count(row) > 0) != want_member) return false;
-             auto [it, fresh] = emitted_.insert(std::move(row));
-             return fresh && ChargeRow(*it);
-           });
+    if (!left_->NextBatch(out)) return false;
+    WidenToOutputTypes(*plan_, out);
+    return SelectRows(out, ctx_, [&](Row& row) {
+      if ((right_rows_.count(row) > 0) != want_member) return false;
+      auto [it, fresh] = emitted_.insert(std::move(row));
+      return fresh && ChargeRow(*it);
+    });
   }
 
  private:

@@ -771,8 +771,7 @@ void ExprProgram::Run(const RowBatch& batch, ExprExecState* state) const {
             any = true;
             dst.f64[k] = 0;
           } else {
-            // A DOUBLE column may hold INT cells (INSERT coerces nothing).
-            dst.f64[k] = v.AsNumeric();
+            dst.f64[k] = v.AsDouble();
           }
         }
         dst.has_nulls = any;

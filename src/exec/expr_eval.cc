@@ -258,12 +258,14 @@ Value EvalExpr(const BoundExpr& e, const EvalContext& ctx) {
     case BoundKind::kCase: {
       size_t i = 0;
       for (; i + 1 < e.children.size(); i += 2) {
-        if (ToTri(EvalExpr(*e.children[i], ctx)) == 1) {
-          return EvalExpr(*e.children[i + 1], ctx);
-        }
+        if (ToTri(EvalExpr(*e.children[i], ctx)) == 1) break;
       }
-      if (i < e.children.size()) return EvalExpr(*e.children[i], ctx);
-      return Value::Null();
+      // From the WHEN that held to its THEN; else i is the ELSE, if any.
+      if (i + 1 < e.children.size()) ++i;
+      if (i == e.children.size()) return Value::Null();
+      Value v = EvalExpr(*e.children[i], ctx);
+      WidenToType(e.type, &v);
+      return v;
     }
   }
   return Value::Null();
@@ -585,6 +587,7 @@ void EvalExprBatch(const BoundExpr& e, const BatchEvalContext& ctx,
         } else {
           out->push_back(Value::Null());
         }
+        WidenToType(e.type, &out->back());
       }
       return;
     }

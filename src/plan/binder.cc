@@ -422,7 +422,16 @@ Result<BExpr> BinderImpl::BindExpr(const ast::Expr& e, Scope* scope,
     case ExprKind::kCase: {
       auto n = std::make_shared<BoundExpr>();
       n->kind = BoundKind::kCase;
+      // The result type is the common type of the branches; the evaluators
+      // widen an INT branch of a DOUBLE CASE.
       TypeId result = TypeId::kNull;
+      auto add_branch = [&](BExpr branch) -> Status {
+        if (!CommonType(result, branch->type, &result)) {
+          return Status::BindError("CASE branch types incompatible");
+        }
+        n->children.push_back(std::move(branch));
+        return Status::OK();
+      };
       size_t i = 0;
       for (; i + 1 < e.args.size(); i += 2) {
         QOPT_ASSIGN_OR_RETURN(BExpr cond, BindExpr(*e.args[i], scope, agg));
@@ -430,14 +439,12 @@ Result<BExpr> BinderImpl::BindExpr(const ast::Expr& e, Scope* scope,
         if (cond->type != TypeId::kBool) {
           return Status::BindError("CASE WHEN condition must be boolean");
         }
-        if (result == TypeId::kNull) result = then->type;
         n->children.push_back(std::move(cond));
-        n->children.push_back(std::move(then));
+        QOPT_RETURN_IF_ERROR(add_branch(std::move(then)));
       }
       if (i < e.args.size()) {
         QOPT_ASSIGN_OR_RETURN(BExpr els, BindExpr(*e.args[i], scope, agg));
-        if (result == TypeId::kNull) result = els->type;
-        n->children.push_back(std::move(els));
+        QOPT_RETURN_IF_ERROR(add_branch(std::move(els)));
       }
       n->type = result;
       return BExpr(n);
@@ -643,15 +650,9 @@ Result<BoundRel> BinderImpl::BindUnionChain(const ast::SelectStatement& head,
     int union_rel = NewRel();
     std::vector<OutputCol> cols;
     for (size_t c = 0; c < acc.cols.size(); ++c) {
-      TypeId lt = acc.cols[c].type;
-      TypeId rt = rhs.cols[c].type;
-      if (!TypesComparable(lt, rt)) {
+      TypeId out_type;
+      if (!CommonType(acc.cols[c].type, rhs.cols[c].type, &out_type)) {
         return Status::BindError("UNION arm column types incompatible");
-      }
-      TypeId out_type = lt;
-      if (lt == TypeId::kNull) out_type = rt;
-      if (IsNumeric(lt) && IsNumeric(rt) && lt != rt) {
-        out_type = TypeId::kDouble;
       }
       cols.push_back({ColumnId{union_rel, static_cast<int>(c)}, out_type,
                       acc.cols[c].name});

@@ -87,19 +87,4 @@ double SortedIndex::leaf_pages() const {
   return std::max(1.0, static_cast<double>(entries_.size()) / kEntriesPerLeaf);
 }
 
-HashIndex::HashIndex(const IndexDef* def, const Table* table) : def_(def) {
-  for (uint32_t i = 0; i < table->num_rows(); ++i) {
-    Value key = table->Get(i, static_cast<size_t>(def->column));
-    if (key.is_null()) continue;
-    map_.emplace(std::move(key), i);
-  }
-}
-
-std::vector<uint32_t> HashIndex::Lookup(const Value& key) const {
-  std::vector<uint32_t> out;
-  auto [begin, end] = map_.equal_range(key);
-  for (auto it = begin; it != end; ++it) out.push_back(it->second);
-  return out;
-}
-
 }  // namespace qopt

@@ -1,12 +1,11 @@
-// Secondary index structures: a sorted (B+-tree-like) index supporting range
-// scans and a hash index supporting point lookups. Indexes map key values to
-// row ids in the owning Table.
+// Secondary index structure: a sorted (B+-tree-like) index supporting point
+// lookups and range scans. It maps key values to row ids in the owning
+// Table.
 #ifndef QOPT_STORAGE_INDEX_H_
 #define QOPT_STORAGE_INDEX_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -56,24 +55,6 @@ class SortedIndex {
  private:
   const IndexDef* def_;
   std::vector<std::pair<Value, uint32_t>> entries_;  // sorted by key
-};
-
-/// Hash index: equality lookups only.
-class HashIndex {
- public:
-  HashIndex(const IndexDef* def, const Table* table);
-
-  const IndexDef& def() const { return *def_; }
-
-  /// Row ids whose key equals `key` (unordered).
-  std::vector<uint32_t> Lookup(const Value& key) const;
-
- private:
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  const IndexDef* def_;
-  std::unordered_multimap<Value, uint32_t, ValueHash> map_;
 };
 
 }  // namespace qopt

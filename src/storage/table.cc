@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace qopt {
 
@@ -19,20 +20,20 @@ bool KeepByOp(CmpOp op, int c) {
   return false;
 }
 
-/// Three-way comparison of a non-NULL cell with `p`'s constant, coerced as
-/// `p.kind` says. A cell of another type than the kind expects (a generic
-/// column's coerced or unchecked cell) compares through Value::Compare.
-int CompareCell(const Value& v, const ColumnPredicate& p) {
-  if (p.kind == ColumnPredicate::Kind::kIntInt &&
-      v.type() == TypeId::kInt64) {
-    const int64_t a = v.AsInt();
-    return a < p.iconst ? -1 : (a > p.iconst ? 1 : 0);
+/// Converts `*v`, a cell of the other numeric type than `declared`, to
+/// `declared`: an INT widens to DOUBLE; a DOUBLE narrows to INT only when
+/// it is integral and within int64 range. Returns false, leaving `*v` as
+/// it was, when the cell cannot take that type.
+bool CoerceNumeric(TypeId declared, Value* v) {
+  if (declared == TypeId::kDouble) {
+    WidenToType(declared, v);
+    return true;
   }
-  if (p.kind != ColumnPredicate::Kind::kGeneric && IsNumeric(v.type())) {
-    const double a = v.AsNumeric();
-    return a < p.dconst ? -1 : (a > p.dconst ? 1 : 0);
-  }
-  return v.Compare(p.constant);
+  // Every integral double in [-2^63, 2^63) is an int64; NaN is not integral.
+  const double d = v->AsDouble();
+  if (std::trunc(d) != d || d < -0x1p63 || d >= 0x1p63) return false;
+  *v = Value::Int(static_cast<int64_t>(d));
+  return true;
 }
 
 /// Keeps rid r of rids[0, n) iff `keep(data[r])` and, when `nulls` is set,
@@ -90,11 +91,12 @@ ColumnPredicate::ColumnPredicate(size_t column, TypeId declared, CmpOp op,
     : column(column), op(op), constant(std::move(constant)) {
   const Value& k = this->constant;
   QOPT_DCHECK(!k.is_null());
+  QOPT_DCHECK(!IsNumeric(declared) || IsNumeric(k.type()));
   if (declared == TypeId::kInt64 && k.type() == TypeId::kInt64) {
     kind = Kind::kIntInt;
     iconst = k.AsInt();
     dconst = static_cast<double>(iconst);
-  } else if (IsNumeric(declared) && IsNumeric(k.type())) {
+  } else if (IsNumeric(declared)) {
     kind = Kind::kNumeric;
     dconst = k.AsNumeric();
   }
@@ -103,58 +105,47 @@ ColumnPredicate::ColumnPredicate(size_t column, TypeId declared, CmpOp op,
 // ---- Column ----
 
 size_t Table::Column::size() const {
-  switch (kind) {
-    case Kind::kInt: return ints.size();
-    case Kind::kDouble: return doubles.size();
-    case Kind::kGeneric: return values.size();
+  switch (type) {
+    case TypeId::kInt64: return ints.size();
+    case TypeId::kDouble: return doubles.size();
+    default: return values.size();
   }
-  return 0;
 }
 
 Value Table::Column::Get(size_t i) const {
-  switch (kind) {
-    case Kind::kInt: return IsNull(i) ? Value() : Value::Int(ints[i]);
-    case Kind::kDouble: return IsNull(i) ? Value() : Value::Double(doubles[i]);
-    case Kind::kGeneric: return values[i];
+  switch (type) {
+    case TypeId::kInt64: return IsNull(i) ? Value() : Value::Int(ints[i]);
+    case TypeId::kDouble: return IsNull(i) ? Value() : Value::Double(doubles[i]);
+    default: return values[i];
   }
-  return Value();
 }
 
 void Table::Column::Reserve(size_t n) {
-  switch (kind) {
-    case Kind::kInt: ints.reserve(n); break;
-    case Kind::kDouble: doubles.reserve(n); break;
-    case Kind::kGeneric: values.reserve(n); break;
+  switch (type) {
+    case TypeId::kInt64: ints.reserve(n); break;
+    case TypeId::kDouble: doubles.reserve(n); break;
+    default: values.reserve(n); break;
   }
   if (!nulls.empty()) nulls.reserve(n);
 }
 
-void Table::Column::ToGeneric() {
-  std::vector<Value> out;
-  out.reserve(std::max(ints.capacity(), doubles.capacity()));
-  for (size_t i = 0; i < size(); ++i) out.push_back(Get(i));
-  values = std::move(out);
-  ints = std::vector<int64_t>();  // frees the typed arrays
-  doubles = std::vector<double>();
-  nulls = std::vector<uint8_t>();
-  kind = Kind::kGeneric;
-}
-
 void Table::Column::Insert(size_t i, Value&& v) {
-  const bool null = v.is_null();
-  if (kind != Kind::kGeneric && !null &&
-      v.type() != (kind == Kind::kInt ? TypeId::kInt64 : TypeId::kDouble)) {
-    ToGeneric();
-  }
-  if (kind == Kind::kGeneric) {
+  if (!IsNumeric(type)) {
     values.insert(values.begin() + static_cast<ptrdiff_t>(i), std::move(v));
     return;
+  }
+  const bool null = v.is_null();
+  if (!null && v.type() != type) {
+    // Only AppendUnchecked gets here uncoerced; its rows must be ones
+    // Append accepts.
+    const bool coerced = IsNumeric(v.type()) && CoerceNumeric(type, &v);
+    QOPT_DCHECK(coerced);
   }
   if (null || !nulls.empty()) {
     nulls.resize(size(), 0);  // the first NULL creates the flags
     nulls.insert(nulls.begin() + static_cast<ptrdiff_t>(i), null ? 1 : 0);
   }
-  if (kind == Kind::kInt) {
+  if (type == TypeId::kInt64) {
     ints.insert(ints.begin() + static_cast<ptrdiff_t>(i),
                 null ? 0 : v.AsInt());
   } else {
@@ -164,9 +155,10 @@ void Table::Column::Insert(size_t i, Value&& v) {
 }
 
 void Table::Column::AppendRange(Column& src, size_t begin, size_t end) {
-  if (kind != src.kind || kind == Kind::kGeneric) {
+  QOPT_DCHECK(type == src.type);
+  if (!IsNumeric(type)) {
     for (size_t i = begin; i < end; ++i) {
-      Push(src.kind == Kind::kGeneric ? std::move(src.values[i]) : src.Get(i));
+      values.push_back(std::move(src.values[i]));
     }
     return;
   }
@@ -180,7 +172,7 @@ void Table::Column::AppendRange(Column& src, size_t begin, size_t end) {
                    src.nulls.begin() + static_cast<ptrdiff_t>(end));
     }
   }
-  if (kind == Kind::kInt) {
+  if (type == TypeId::kInt64) {
     ints.insert(ints.end(), src.ints.begin() + static_cast<ptrdiff_t>(begin),
                 src.ints.begin() + static_cast<ptrdiff_t>(end));
   } else {
@@ -192,14 +184,9 @@ void Table::Column::AppendRange(Column& src, size_t begin, size_t end) {
 
 // ---- Table ----
 
-Table::Table(const TableDef* def) : def_(def), columns_(def->columns.size()) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    switch (def_->columns[c].type) {
-      case TypeId::kInt64: columns_[c].kind = Column::Kind::kInt; break;
-      case TypeId::kDouble: columns_[c].kind = Column::Kind::kDouble; break;
-      default: break;
-    }
-  }
+Table::Table(const TableDef* def) : def_(def) {
+  columns_.reserve(def_->columns.size());
+  for (const ColumnDef& c : def_->columns) columns_.emplace_back(c.type);
   if (def_->partition.enabled()) {
     part_ends_.assign(static_cast<size_t>(def_->partition.count()), 0);
   }
@@ -211,7 +198,7 @@ Status Table::Append(Row row) {
                                    def_->name + "'");
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    const Value& v = row[i];
+    Value& v = row[i];
     if (v.is_null()) {
       if (static_cast<int>(i) == def_->primary_key) {
         return Status::InvalidArgument("NULL primary key in '" + def_->name +
@@ -219,12 +206,17 @@ Status Table::Append(Row row) {
       }
       continue;
     }
-    TypeId declared = def_->columns[i].type;
-    if (v.type() != declared &&
-        !(IsNumeric(v.type()) && IsNumeric(declared))) {
+    const TypeId declared = def_->columns[i].type;
+    if (v.type() == declared) continue;
+    if (!IsNumeric(v.type()) || !IsNumeric(declared)) {
       return Status::InvalidArgument(
           "type mismatch in column '" + def_->columns[i].name + "': expected " +
           TypeName(declared) + ", got " + TypeName(v.type()));
+    }
+    if (!CoerceNumeric(declared, &v)) {
+      return Status::InvalidArgument(
+          "value " + v.ToString() + " does not fit " + TypeName(declared) +
+          " column '" + def_->columns[i].name + "'");
     }
   }
   total_bytes_ += RowBytes(row);
@@ -269,10 +261,11 @@ void Table::AppendUnchecked(std::vector<Row> new_rows) {
     int p = spec.PartitionOf(r[static_cast<size_t>(spec.column)]);
     incoming[static_cast<size_t>(p)].push_back(&r);
   }
-  std::vector<Column> rebuilt(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    rebuilt[c].kind = columns_[c].kind;
-    rebuilt[c].Reserve(total);
+  std::vector<Column> rebuilt;
+  rebuilt.reserve(columns_.size());
+  for (const Column& col : columns_) {
+    rebuilt.emplace_back(col.type);
+    rebuilt.back().Reserve(total);
   }
   size_t begin = 0;
   size_t end = 0;
@@ -304,25 +297,17 @@ Row Table::RowAt(size_t rid) const {
 size_t Table::Select(const ColumnPredicate& p, uint32_t* rids,
                      size_t n) const {
   const Column& col = columns_[p.column];
-  // Per-cell path: generic columns, and a constant of a type the typed
-  // arrays do not compare with.
-  auto per_cell = [&](auto&& cell) {
+  if (!IsNumeric(col.type)) {
     size_t m = 0;
     for (size_t i = 0; i < n; ++i) {
       const uint32_t r = rids[i];
-      const Value& v = cell(r);
-      if (!v.is_null() && KeepByOp(p.op, CompareCell(v, p))) rids[m++] = r;
+      const Value& v = col.values[r];
+      if (!v.is_null() && KeepByOp(p.op, v.Compare(p.constant))) rids[m++] = r;
     }
     return m;
-  };
-  if (col.kind == Column::Kind::kGeneric) {
-    return per_cell([&](uint32_t r) -> const Value& { return col.values[r]; });
-  }
-  if (p.kind == ColumnPredicate::Kind::kGeneric) {
-    return per_cell([&](uint32_t r) { return col.Get(r); });
   }
   const uint8_t* nulls = col.nulls.empty() ? nullptr : col.nulls.data();
-  if (col.kind == Column::Kind::kDouble) {
+  if (col.type == TypeId::kDouble) {
     return SelectByOp(p.op, col.doubles.data(), nulls, p.dconst, rids, n);
   }
   if (p.kind == ColumnPredicate::Kind::kIntInt) {
@@ -334,8 +319,8 @@ size_t Table::Select(const ColumnPredicate& p, uint32_t* rids,
 void Table::Gather(size_t c, const uint32_t* rids, size_t n,
                    std::vector<Value>* out) const {
   const Column& col = columns_[c];
-  switch (col.kind) {
-    case Column::Kind::kInt:
+  switch (col.type) {
+    case TypeId::kInt64:
       if (col.nulls.empty()) {
         for (size_t i = 0; i < n; ++i) {
           out->push_back(Value::Int(col.ints[rids[i]]));
@@ -344,7 +329,7 @@ void Table::Gather(size_t c, const uint32_t* rids, size_t n,
         for (size_t i = 0; i < n; ++i) out->push_back(col.Get(rids[i]));
       }
       return;
-    case Column::Kind::kDouble:
+    case TypeId::kDouble:
       if (col.nulls.empty()) {
         for (size_t i = 0; i < n; ++i) {
           out->push_back(Value::Double(col.doubles[rids[i]]));
@@ -353,7 +338,7 @@ void Table::Gather(size_t c, const uint32_t* rids, size_t n,
         for (size_t i = 0; i < n; ++i) out->push_back(col.Get(rids[i]));
       }
       return;
-    case Column::Kind::kGeneric:
+    default:
       for (size_t i = 0; i < n; ++i) out->push_back(col.values[rids[i]]);
       return;
   }

@@ -36,17 +36,17 @@ enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 /// follows the column's declared type and the constant's type, as
 /// Value::Compare would coerce them: INT against INT compares as int64,
 /// any other numeric pair as double (so NaN compares equal to everything
-/// and -0.0 equal to 0.0), anything else through Value::Compare.
+/// and -0.0 equal to 0.0), a STRING or BOOL column through Value::Compare.
 struct ColumnPredicate {
-  enum class Kind : uint8_t { kIntInt, kNumeric, kGeneric };
+  enum class Kind : uint8_t { kIntInt, kNumeric, kValue };
 
-  /// `constant` must not be NULL.
+  /// `constant` must not be NULL, and must be numeric when `declared` is.
   ColumnPredicate(size_t column, TypeId declared, CmpOp op, Value constant);
 
   size_t column;  ///< Storage position of the column.
   CmpOp op;
   Value constant;
-  Kind kind = Kind::kGeneric;
+  Kind kind = Kind::kValue;
   int64_t iconst = 0;  ///< kIntInt
   double dconst = 0;   ///< kIntInt and kNumeric
 };
@@ -66,19 +66,25 @@ class Table {
   const TableDef& def() const { return *def_; }
 
   /// Appends a row after validating arity and column types (NULL allowed
-  /// in any column except the primary key). On a partitioned table the row
-  /// is inserted into its partition's segment (O(n) tail shift).
+  /// in any column except the primary key). A numeric cell in a numeric
+  /// column of the other type is coerced to the declared type: an INT
+  /// widens to DOUBLE, a DOUBLE narrows to INT only when it is integral and
+  /// within int64 range, and any other cell is rejected. On a
+  /// partitioned table the row is inserted into its partition's segment
+  /// (O(n) tail shift).
   Status Append(Row row);
 
-  /// Bulk-append without per-row validation (workload generators). Each
-  /// row is transposed into the columns and freed as soon as it is
-  /// consumed. On a partitioned table this rebuilds the partition-major
-  /// clustering in one O(old + new) pass.
+  /// Bulk-append without per-row validation (workload generators): the
+  /// rows must be ones Append accepts, and their numeric cells are coerced
+  /// as Append coerces them. Each row is transposed into the columns and
+  /// freed as soon as it is consumed. On a partitioned table this rebuilds
+  /// the partition-major clustering in one O(old + new) pass.
   void AppendUnchecked(std::vector<Row> rows);
 
   size_t num_rows() const { return num_rows_; }
 
-  /// Cell `col` of row `rid`: exactly the Value that was stored.
+  /// Cell `col` of row `rid`: NULL or a Value of the column's declared
+  /// type.
   Value Get(size_t rid, size_t col) const;
 
   /// Row `rid` built cell by cell (tests and diagnostics; scans gather).
@@ -108,13 +114,12 @@ class Table {
   std::pair<size_t, size_t> PartitionRange(int p) const;
 
  private:
-  /// One attribute's cells in row order. A typed column (kInt / kDouble)
-  /// keeps its cells in `ints` / `doubles`; it turns kGeneric, once, when
-  /// it first receives a non-NULL cell of another type, and from then on
-  /// keeps every cell in `values`.
+  /// One attribute's cells in row order. An INT or DOUBLE column keeps its
+  /// cells in `ints` / `doubles`, every other column in `values`.
   struct Column {
-    enum class Kind : uint8_t { kInt, kDouble, kGeneric };
-    Kind kind = Kind::kGeneric;
+    explicit Column(TypeId declared) : type(declared) {}
+
+    const TypeId type;  ///< The declared type: every cell's but NULL's.
     std::vector<int64_t> ints;
     std::vector<double> doubles;
     std::vector<Value> values;
@@ -125,13 +130,13 @@ class Table {
     bool IsNull(size_t i) const { return !nulls.empty() && nulls[i] != 0; }
     Value Get(size_t i) const;
     void Reserve(size_t n);
-    /// Inserts `v` as cell `i`, turning a typed column generic first when
-    /// `v` is a non-NULL cell of another type.
+    /// Inserts `v` as cell `i`, coercing a numeric cell of the other
+    /// numeric type into a typed column.
     void Insert(size_t i, Value&& v);
     void Push(Value&& v) { Insert(size(), std::move(v)); }
-    /// Appends cells [begin, end) of `src`, moving generic cells out of it.
+    /// Appends cells [begin, end) of `src`, a column of the same type,
+    /// moving Value cells out of it.
     void AppendRange(Column& src, size_t begin, size_t end);
-    void ToGeneric();
   };
 
   const TableDef* def_;

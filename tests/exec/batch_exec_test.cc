@@ -500,8 +500,8 @@ TEST_F(BatchOperatorTest, LimitStopsInsideOneProbeKeysMatches) {
 // (Table::Select) before any row is copied, so this is the independent
 // check that they agree with the interpreter on NULLs, NaN, -0.0,
 // int/double mixes and strings, over typed columns with and without NULLs
-// and over a DOUBLE column turned generic by an INT cell, at batch
-// capacities that split the table's page runs differently.
+// (one DOUBLE column loaded with an INT cell, which the table widens), at
+// batch capacities that split the table's page runs differently.
 
 class ScanPredicateReferenceTest : public ::testing::Test {
  protected:
@@ -516,8 +516,8 @@ class ScanPredicateReferenceTest : public ::testing::Test {
     storage_ = std::make_unique<Storage>(&catalog_);
     // 257 rows: not a multiple of any batch capacity under test. Doubles
     // include integral values, so int/double equality is exercised, and
-    // NaN and -0.0. Column g takes one INT cell, which stores it as
-    // Values; n has no NULL.
+    // NaN and -0.0. Column g has no NULL and takes one INT cell, which the
+    // table widens to DOUBLE; n has no NULL either.
     std::mt19937 rng(1234);
     const char* strings[] = {"", "a", "ab", "b", "B"};
     auto double_cell = [&rng]() {
@@ -538,11 +538,13 @@ class ScanPredicateReferenceTest : public ::testing::Test {
       r.push_back(double_cell());
       r.push_back(rng() % 7 == 0 ? Value::Null()
                                  : Value::String(strings[rng() % 5]));
-      r.push_back(k == 100 ? Value::Int(2) : double_cell());
+      Value g = k == 100 ? Value::Int(2) : double_cell();
+      r.push_back(g.is_null() ? Value::Double(0.5) : std::move(g));
       r.push_back(Value::Int(static_cast<int64_t>(rng() % 11) - 5));
       rows.push_back(std::move(r));
     }
     storage_->GetTable(0)->AppendUnchecked(rows);
+    ASSERT_EQ(storage_->GetTable(0)->Get(100, 3).type(), TypeId::kDouble);
     for (size_t c = 0; c < cols_.size(); ++c) {
       colmap_[cols_[c].id] = static_cast<int>(c);
     }

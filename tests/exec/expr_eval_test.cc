@@ -146,5 +146,17 @@ TEST_F(ExprEvalTest, CaseExpression) {
   EXPECT_EQ(EvalExpr(*c, ctx_).AsString(), "big");
 }
 
+TEST_F(ExprEvalTest, DoubleCaseWidensItsIntBranch) {
+  // CASE WHEN c0 > 5 THEN c0 ELSE 2.5 END, typed DOUBLE by the binder.
+  auto c = std::make_shared<plan::BoundExpr>();
+  c->kind = plan::BoundKind::kCase;
+  c->type = TypeId::kDouble;
+  c->children = {MakeBinary(BinaryOp::kGt, Col(0), MakeLiteral(Value::Int(5))),
+                 Col(0), MakeLiteral(Value::Double(2.5))};
+  const Value v = EvalExpr(*c, ctx_);
+  ASSERT_EQ(v.type(), TypeId::kDouble);
+  EXPECT_EQ(v.AsDouble(), 10.0);
+}
+
 }  // namespace
 }  // namespace qopt::exec

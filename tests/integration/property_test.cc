@@ -34,10 +34,21 @@ class QueryPropertyTest : public ::testing::TestWithParam<int> {
 
   // Expression-heavy tables (nested arithmetic targets, 20%-NULL numeric
   // columns, LIKE-able strings) for the compiled-expression parity suite.
+  // Each also gets INSERTed rows whose numeric literals are of the other
+  // numeric type than their columns (INT a, x; DOUBLE y), so the scans
+  // read cells coerced to the declared types.
   static Database* exprdb() {
     static Database* db = [] {
       auto* d = new Database();
       EXPECT_TRUE(workload::CreateExprTables(d, 3, 300, 20, 77).ok());
+      for (const char* t : {"e0", "e1", "e2"}) {
+        EXPECT_TRUE(d->Execute(std::string("INSERT INTO ") + t +
+                               " VALUES (100000, 3.0, 7.0, 12, 'v13'), "
+                               "(100001, 5, 900.0, 999, NULL), "
+                               "(100002, 7.0, NULL, 0, 'v2'), "
+                               "(100003, 3, 450.0, NULL, 'v4')")
+                        .ok());
+      }
       return d;
     }();
     return db;

@@ -79,12 +79,6 @@ TEST_F(IndexTest, FullScanIsOrdered) {
   }
 }
 
-TEST_F(IndexTest, HashIndexLookup) {
-  HashIndex hash(catalog_.GetIndex(0), table_.get());
-  EXPECT_EQ(hash.Lookup(Value::Int(3)).size(), 2u);
-  EXPECT_TRUE(hash.Lookup(Value::Int(42)).empty());
-}
-
 TEST(StorageTest, LazyIndexBuildAndInvalidation) {
   Catalog catalog;
   ASSERT_TRUE(

@@ -48,9 +48,36 @@ TEST_F(TableTest, TypeMismatchRejected) {
 
 TEST_F(TableTest, NumericCoercionAllowed) {
   Table table(def_);
-  // Int into a double column is allowed.
+  // Int into a double column widens; an integral double into an int column
+  // narrows.
   EXPECT_TRUE(
       table.Append({Value::Int(1), Value::Int(2), Value::String("a")}).ok());
+  EXPECT_TRUE(
+      table.Append({Value::Double(-0.0), Value::Double(3), Value::String("b")})
+          .ok());
+  ASSERT_EQ(table.Get(0, 1).type(), TypeId::kDouble);
+  EXPECT_EQ(table.Get(0, 1).AsDouble(), 2.0);
+  ASSERT_EQ(table.Get(1, 0).type(), TypeId::kInt64);
+  EXPECT_EQ(table.Get(1, 0).AsInt(), 0);
+}
+
+TEST_F(TableTest, LossyNumericCellRejected) {
+  Table table(def_);
+  const double lossy[] = {1.5, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), 0x1p63,
+                          -0x1p64};
+  for (double d : lossy) {
+    Status st =
+        table.Append({Value::Double(d), Value::Double(1), Value::String("a")});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << d;
+    EXPECT_NE(st.message().find("'id'"), std::string::npos) << st.message();
+  }
+  EXPECT_EQ(table.num_rows(), 0u);
+  // The int64 range ends are exact doubles.
+  ASSERT_TRUE(
+      table.Append({Value::Double(-0x1p63), Value::Null(), Value::Null()})
+          .ok());
+  EXPECT_EQ(table.Get(0, 0).AsInt(), std::numeric_limits<int64_t>::min());
 }
 
 TEST_F(TableTest, NullPrimaryKeyRejected) {
@@ -101,7 +128,7 @@ TEST_F(TableTest, TypedCellsRoundTripThroughGet) {
   }
 }
 
-TEST_F(TableTest, DoubleColumnTakingAnIntCellTurnsGeneric) {
+TEST_F(TableTest, DoubleColumnTakingAnIntCellWidensIt) {
   Table table(def_);
   ASSERT_TRUE(
       table.Append({Value::Int(1), Value::Double(1.5), Value::String("a")})
@@ -115,10 +142,16 @@ TEST_F(TableTest, DoubleColumnTakingAnIntCellTurnsGeneric) {
   EXPECT_EQ(table.Get(0, 1).type(), TypeId::kDouble);
   EXPECT_EQ(table.Get(0, 1).AsDouble(), 1.5);
   EXPECT_TRUE(table.Get(1, 1).is_null());
-  ASSERT_EQ(table.Get(2, 1).type(), TypeId::kInt64);
-  EXPECT_EQ(table.Get(2, 1).AsInt(), 7);
+  ASSERT_EQ(table.Get(2, 1).type(), TypeId::kDouble);
+  EXPECT_EQ(table.Get(2, 1).AsDouble(), 7.0);
   ASSERT_EQ(table.Get(3, 1).type(), TypeId::kDouble);
   EXPECT_EQ(table.Get(3, 1).AsDouble(), 8.5);
+  // A bulk append coerces as Append does.
+  table.AppendUnchecked({{Value::Double(5), Value::Int(9), Value::Null()}});
+  ASSERT_EQ(table.Get(4, 0).type(), TypeId::kInt64);
+  EXPECT_EQ(table.Get(4, 0).AsInt(), 5);
+  ASSERT_EQ(table.Get(4, 1).type(), TypeId::kDouble);
+  EXPECT_EQ(table.Get(4, 1).AsDouble(), 9.0);
 }
 
 TEST_F(TableTest, NullInTypedColumnReadsBackNull) {
@@ -192,13 +225,13 @@ TEST(PartitionedTableLayoutTest, MiddlePartitionAppendKeepsColumnsAligned) {
   for (int64_t k : {15, 2, 25}) bulk.push_back(row_of(k));
   table.AppendUnchecked(std::move(bulk));
   check(11);
-  // An int cell in the double column turns it generic mid-partition.
+  // An int cell in the double column widens mid-partition.
   Row odd = row_of(17);
   odd[1] = Value::Int(8);
   ASSERT_TRUE(table.Append(odd).ok());
   const size_t at = table.PartitionRange(1).second - 1;
-  ASSERT_EQ(table.Get(at, 1).type(), TypeId::kInt64);
-  EXPECT_EQ(table.Get(at, 1).AsInt(), 8);
+  ASSERT_EQ(table.Get(at, 1).type(), TypeId::kDouble);
+  EXPECT_EQ(table.Get(at, 1).AsDouble(), 8.0);
   EXPECT_EQ(table.Get(at, 2).AsString(), "s17");
   EXPECT_EQ(table.Get(at - 1, 1).AsDouble(), 7.5);  // key 15
 }
