@@ -1,15 +1,16 @@
-// E26: compiled expression pipelines vs the interpreted batch evaluator.
+// E26: compiled expression pipelines vs the interpreter.
 //
 // Runs expression-heavy pipelines — nested-arithmetic filters, multi-column
 // arithmetic projections, expression-argument aggregates, LIKE and IN-list
 // predicates — executing the SAME physical plan in batch mode with
-// expression compilation on and off. The compiled programs run one
-// monomorphic loop per instruction over the column vectors (no per-row tag
-// dispatch, no per-row Value allocation), so the win concentrates where
-// per-row expression evaluation dominates. Both modes must return
-// byte-identical rows (asserted on every run), and the headline pipeline
-// must show >= 2x — the process exits nonzero otherwise, making this a CI
-// regression gate.
+// expression compilation on and off. Off, each operator runs the one
+// interpreter (EvalExpr) once per live row of every batch. The compiled
+// programs run one monomorphic loop per instruction over the column
+// vectors (no per-row tree walk, tag dispatch or Value allocation), so the
+// win concentrates where per-row expression evaluation dominates. Both
+// modes must return byte-identical rows (asserted on every run), and the
+// headline pipeline must show >= 2x — the process exits nonzero otherwise,
+// making this a CI regression gate.
 //
 // Usage: bench_compiled_expr [output.json]
 // Writes machine-readable results as JSON (default BENCH_compiled_expr.json).
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_compiled_expr.json";
   Banner("E26", "Compiled expression pipelines",
          "lowering predicates/projections/aggregate arguments to flat "
-         "type-specialized programs beats the interpreted batch evaluator "
+         "type-specialized programs beats the row-at-a-time interpreter "
          ">= 2x on expression-bound pipelines, with byte-identical rows");
 
   constexpr int64_t kRows = 400000;

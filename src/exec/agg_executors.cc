@@ -72,7 +72,8 @@ void GroupTable::Drain(Executor* input, const AggPrograms& progs,
   expr::ExprExecState state;
   RowBatch b;
   std::vector<std::vector<Value>> argv(na);
-  const BatchEvalContext bev{&input->colmap(), &b, &ctx->params};
+  const EvalContext bev{
+      .colmap = &input->colmap(), .params = &ctx->params, .batch = &b};
   while (!ctx->Failed() && input->NextBatch(&b)) {
     const size_t n = b.ActiveSize();
     if (n == 0) continue;

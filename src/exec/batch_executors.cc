@@ -149,7 +149,8 @@ class BatchScanExec : public Executor {
       if (residual_prog_ != nullptr) {
         residual_prog_->FilterBatch(out, &expr_state_);
       } else {
-        BatchEvalContext bev{&colmap_, out, &ctx_->params};
+        EvalContext bev{
+            .colmap = &colmap_, .params = &ctx_->params, .batch = out};
         EvalPredicateBatch(residual_, bev, out);
       }
     }
@@ -294,7 +295,8 @@ class BatchFilterExec : public Executor {
     if (prog_ != nullptr) {
       prog_->FilterBatch(out, &expr_state_);
     } else {
-      BatchEvalContext bev{&colmap_, out, &ctx_->params};
+      EvalContext bev{
+          .colmap = &colmap_, .params = &ctx_->params, .batch = out};
       EvalPredicateBatch(plan_->predicate, bev, out);
     }
     return true;
@@ -337,7 +339,8 @@ class BatchProjectExec : public Executor {
     // input column instead of gathering a copy — precomputed in InitImpl.
     bool identity = n == in_.num_rows();
     out->Reset(plan_->proj_exprs.size(), n);
-    BatchEvalContext bev{&child_->colmap(), &in_, &ctx_->params};
+    EvalContext bev{
+        .colmap = &child_->colmap(), .params = &ctx_->params, .batch = &in_};
     std::vector<Value> col;
     for (size_t c = 0; c < plan_->proj_exprs.size(); ++c) {
       if (identity && move_src_[c] >= 0) {

@@ -4,10 +4,10 @@
 // type-specialized instructions over virtual registers, where each register
 // holds one column vector (int64 / double / string-ref / three-valued
 // boolean) plus a null mask. Executing a program runs one monomorphic loop
-// per instruction over the batch's live rows — no per-row tag dispatch and
-// no per-row Value allocation, the two costs that dominate the interpreted
-// EvalExprBatch path. Literal-only operands are folded to immediates at
-// compile time.
+// per instruction over the batch's live rows — no per-row tree walk, tag
+// dispatch or Value allocation, the costs that dominate the interpreted
+// EvalExprBatch path (EvalExpr once per live row). Literal-only operands
+// are folded to immediates at compile time.
 //
 // The compiler intentionally does not cover every expression shape (see
 // docs/EXPRESSIONS.md for the exact rules); Compile returns null for

@@ -1,12 +1,14 @@
 // Runtime expression evaluation with SQL three-valued logic.
 //
-// Two entry points: the scalar evaluator (EvalExpr / EvalPredicate) used by
-// the operators that work on whole rows (Apply, the streaming aggregate,
-// the index nested-loop join's inner predicate on storage rows, a join
-// residual that does not compile), and the batch evaluator
-// (EvalExprBatch / EvalPredicateBatch) used by the vectorized operators,
-// which evaluates an expression over every live row of a RowBatch in one
-// call. Both implement identical SQL semantics.
+// One interpreter, EvalExpr / EvalPredicate, evaluates an expression for
+// one row. The row is either a whole `Row` (Apply, the streaming
+// aggregate, the index nested-loop join's inner predicate on storage rows,
+// a join residual that does not compile) or one physical row of a
+// RowBatch. EvalExprBatch / EvalPredicateBatch are the vectorized
+// operators' fallback when an expression does not compile (or
+// compile_expressions is off): they loop over a batch's live rows and call
+// EvalExpr / EvalPredicate on each. The interpreter is also the oracle the
+// compiled programs (exec/expr_compile.h) are tested against.
 #ifndef QOPT_EXEC_EXPR_EVAL_H_
 #define QOPT_EXEC_EXPR_EVAL_H_
 
@@ -27,11 +29,15 @@ using ColMap = std::unordered_map<ColumnId, int, ColumnIdHash>;
 using ParamMap = std::unordered_map<ColumnId, Value, ColumnIdHash>;
 
 /// Evaluation context: the current row with its column map, plus optional
-/// correlated parameters consulted when a column is not in the map.
+/// correlated parameters consulted when a column is not in the map. The
+/// row's cells come from `row` or, when `batch` is set, from physical row
+/// `batch_row` of `batch`.
 struct EvalContext {
   const ColMap* colmap = nullptr;
   const Row* row = nullptr;
   const ParamMap* params = nullptr;
+  const RowBatch* batch = nullptr;
+  uint32_t batch_row = 0;
 };
 
 /// Evaluates `e` under `ctx`. Comparisons/arithmetic over NULL yield NULL;
@@ -42,13 +48,12 @@ Value EvalExpr(const plan::BoundExpr& e, const EvalContext& ctx);
 /// True iff `pred` evaluates to TRUE (NULL and FALSE both reject).
 bool EvalPredicate(const plan::BExpr& pred, const EvalContext& ctx);
 
-/// SQL LIKE with % and _ wildcards. Patterns of the common shapes —
-/// no wildcards, 'abc%', '%abc' — take a direct string-compare fast path;
-/// everything else runs the general backtracking matcher.
+/// SQL LIKE with % and _ wildcards: the general backtracking matcher,
+/// sharing no code with the LikePattern fast paths below.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
-/// A LIKE pattern classified once so repeated matching (batch loops,
-/// compiled programs) can use direct string comparisons instead of the
+/// A LIKE pattern classified once so repeated matching (compiled
+/// programs) can use direct string comparisons instead of the
 /// general wildcard matcher. Patterns containing '_' or more '%' structure
 /// than prefix/suffix/contains stay generic.
 struct LikePattern {
@@ -71,24 +76,16 @@ LikePattern CompileLikePattern(const std::string& pattern);
 /// Matches `text` against a pre-classified pattern.
 bool LikeMatch(const std::string& text, const LikePattern& pattern);
 
-/// Batch evaluation context: an input batch with its column map, plus
-/// optional correlated parameters (consulted when a column is not mapped).
-struct BatchEvalContext {
-  const ColMap* colmap = nullptr;
-  const RowBatch* batch = nullptr;
-  const ParamMap* params = nullptr;
-};
-
-/// Evaluates `e` once per live row of `ctx.batch`; on return `out` holds
-/// one Value per live row (indexed by active position, not physical row).
-/// Semantics match EvalExpr exactly.
-void EvalExprBatch(const plan::BoundExpr& e, const BatchEvalContext& ctx,
+/// Evaluates `e` with EvalExpr once per live row of `ctx.batch` (its
+/// `batch_row` is ignored); on return `out` holds one Value per live row
+/// (indexed by active position, not physical row).
+void EvalExprBatch(const plan::BoundExpr& e, const EvalContext& ctx,
                    std::vector<Value>* out);
 
 /// Refines `batch`'s selection vector in place, keeping exactly the live
 /// rows for which `pred` evaluates to TRUE (NULL and FALSE both reject).
 /// `ctx.batch` must point at `batch`. A null `pred` keeps every row.
-void EvalPredicateBatch(const plan::BExpr& pred, const BatchEvalContext& ctx,
+void EvalPredicateBatch(const plan::BExpr& pred, const EvalContext& ctx,
                         RowBatch* batch);
 
 }  // namespace qopt::exec

@@ -147,14 +147,15 @@ class BatchEvalTest : public ::testing::Test {
     for (const Row& r : rows_) batch_.AppendRow(r);
   }
 
-  // Asserts EvalExprBatch agrees with per-row EvalExpr on every live row.
-  void CheckAgainstScalar(const plan::BExpr& e) {
-    BatchEvalContext bctx{&colmap_, &batch_, nullptr};
+  // Asserts EvalExprBatch agrees with per-row EvalExpr on every live row,
+  // both resolving columns missing from the batch through `params`.
+  void CheckAgainstScalar(const plan::BExpr& e, const ParamMap& params = {}) {
+    EvalContext bctx{.colmap = &colmap_, .params = &params, .batch = &batch_};
     std::vector<Value> got;
     EvalExprBatch(*e, bctx, &got);
     ASSERT_EQ(got.size(), batch_.ActiveSize()) << e->ToString();
     for (size_t k = 0; k < batch_.ActiveSize(); ++k) {
-      EvalContext sctx{&colmap_, &rows_[batch_.ActiveIndex(k)], nullptr};
+      EvalContext sctx{&colmap_, &rows_[batch_.ActiveIndex(k)], &params};
       Value want = EvalExpr(*e, sctx);
       EXPECT_EQ(got[k].Compare(want), 0)
           << e->ToString() << " row " << k << ": got " << got[k].ToString()
@@ -267,8 +268,33 @@ TEST_F(BatchEvalTest, RespectsSelectionVector) {
   CheckAgainstScalar(Bin(ast::BinaryOp::kGt, A(), L(0)));
 }
 
+TEST_F(BatchEvalTest, CorrelatedCasePredicateOverSelection) {
+  using ast::BinaryOp;
+  // p is an outer column bound as a correlated parameter (not in colmap_).
+  const ParamMap params = {{{1, 0}, Value::Int(2)}};
+  auto p = [] { return plan::MakeColumn({1, 0}, TypeId::kInt64, "p"); };
+  // CASE WHEN b IS NULL THEN a = p WHEN b > p * 5 THEN a > p * 2
+  //      ELSE a < p END
+  auto e = std::make_shared<plan::BoundExpr>();
+  e->kind = plan::BoundKind::kCase;
+  e->type = TypeId::kBool;
+  e->children = {plan::MakeIsNull(B(), false), Bin(BinaryOp::kEq, A(), p()),
+                 Bin(BinaryOp::kGt, B(), Bin(BinaryOp::kMul, p(), L(5))),
+                 Bin(BinaryOp::kGt, A(), Bin(BinaryOp::kMul, p(), L(2))),
+                 Bin(BinaryOp::kLt, A(), p())};
+  const plan::BExpr pred(e);
+  // Live rows: row 1 (b NULL, a = 2) takes the first branch (TRUE), row 2
+  // (b = 30, a = 3) the second (FALSE), row 3 (b = -5, a = 0) the ELSE
+  // (TRUE). Dead rows 0 and 4 would pass the ELSE.
+  *batch_.mutable_selection() = {1, 2, 3};
+  CheckAgainstScalar(pred, params);
+  EvalContext bctx{.colmap = &colmap_, .params = &params, .batch = &batch_};
+  EvalPredicateBatch(pred, bctx, &batch_);
+  EXPECT_EQ(batch_.selection(), (std::vector<uint32_t>{1, 3}));
+}
+
 TEST_F(BatchEvalTest, PredicateBatchCompactsSelection) {
-  BatchEvalContext bctx{&colmap_, &batch_, nullptr};
+  EvalContext bctx{.colmap = &colmap_, .batch = &batch_};
   // a > 0: keeps rows 0,1,2 (a = 1,2,3), rejects 3 (0) and 4 (-7).
   plan::BExpr pred = Bin(ast::BinaryOp::kGt, A(), L(0));
   EvalPredicateBatch(pred, bctx, &batch_);

@@ -65,7 +65,7 @@ class ExprCompileTest : public ::testing::Test {
     FillBatch(&interpreted, 64, 42);
     ExprExecState state;
     prog->FilterBatch(&compiled, &state);
-    BatchEvalContext bev{&colmap_, &interpreted, nullptr};
+    EvalContext bev{.colmap = &colmap_, .batch = &interpreted};
     EvalPredicateBatch(pred, bev, &interpreted);
     EXPECT_EQ(compiled.selection(), interpreted.selection())
         << pred->ToString();
@@ -78,7 +78,7 @@ class ExprCompileTest : public ::testing::Test {
     ExprExecState state;
     std::vector<Value> compiled, interpreted;
     prog->EvalColumn(batch_, &state, &compiled);
-    BatchEvalContext bev{&colmap_, &batch_, nullptr};
+    EvalContext bev{.colmap = &colmap_, .batch = &batch_};
     EvalExprBatch(*e, bev, &interpreted);
     ASSERT_EQ(compiled.size(), interpreted.size()) << e->ToString();
     for (size_t k = 0; k < compiled.size(); ++k) {
@@ -224,7 +224,7 @@ TEST_F(ExprCompileTest, SelectionVectorAware) {
   RowBatch ref;
   FillBatch(&ref, 64, 42);
   *ref.mutable_selection() = odd;
-  BatchEvalContext bev{&colmap_, &ref, nullptr};
+  EvalContext bev{.colmap = &colmap_, .batch = &ref};
   EvalPredicateBatch(pred, bev, &ref);
   EXPECT_EQ(b.selection(), ref.selection());
 }

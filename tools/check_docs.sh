@@ -7,7 +7,10 @@
 #   2. every checked-in BENCH_*.json must be referenced by EXPERIMENTS.md
 #      and by the results table in README.md;
 #   3. every BENCH_*.json must have a bench binary registered in
-#      bench/CMakeLists.txt that emits it (qopt_bench(bench_<name>)).
+#      bench/CMakeLists.txt that emits it (qopt_bench(bench_<name>));
+#   4. every QueryOptions::<field> in docs/*.md and every `o.<field> in
+#      README.md (first path segment) must name a field of
+#      struct QueryOptions in src/engine/database.h.
 #
 # Usage: tools/check_docs.sh   (from anywhere; resolves the repo root)
 set -u
@@ -52,6 +55,24 @@ for json in "$root"/BENCH_*.json; do
   grep -q "qopt_bench($bench)" "$root/bench/CMakeLists.txt" ||
     err "$name: no qopt_bench($bench) in bench/CMakeLists.txt"
 done
+
+# Field names of struct QueryOptions: the last word of each member line.
+fields=$(awk '/^struct QueryOptions /,/^};/' "$root/src/engine/database.h" |
+  awk '/^  [A-Za-z]/ { sub(/ = .*/, ""); sub(/;.*/, ""); print $NF }')
+[ -n "$fields" ] || err "no struct QueryOptions fields in src/engine/database.h"
+hits=$(grep -on 'QueryOptions::[A-Za-z_][A-Za-z0-9_]*' "$root"/docs/*.md
+  grep -Hon '`o\.[A-Za-z_][A-Za-z0-9_]*' "$root/README.md")
+old_ifs=$IFS
+IFS='
+'
+for hit in $hits; do
+  field=${hit##*[:.]}
+  rest=${hit#"$root"/}  # <file>:<line>:<match>
+  line=${rest#*:}
+  echo "$fields" | grep -qx "$field" ||
+    err "${rest%%:*}:${line%%:*}: QueryOptions has no field '$field'"
+done
+IFS=$old_ifs
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
